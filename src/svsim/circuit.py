@@ -42,10 +42,6 @@ class Circuit:
         if not self.label_permutation:
             object.__setattr__(self, "label_permutation", tuple(range(self.n_qubits)))
 
-    @property
-    def is_relabelled(self) -> bool:
-        return self.label_permutation != tuple(range(self.n_qubits))
-
 
 @dataclass(frozen=True)
 class RegisterMap:

@@ -94,13 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, "svsim: --fast-bytes and --chunk-bytes go together\n")
 
     mode = MODES[args.mode]
+    local = (args.local_qubits if args.local_qubits is not None
+             else circuit.n_qubits - (args.ranks.bit_length() - 1))
     tier_config = None
     if args.fast_bytes is not None:
-        state_bytes = (1 << (args.local_qubits
-                             if args.local_qubits is not None
-                             else circuit.n_qubits - (args.ranks.bit_length() - 1))
-                       ) * mode.bytes_per_element
-        if args.fast_bytes < state_bytes:
+        if args.fast_bytes < (1 << local) * mode.bytes_per_element:
             try:
                 tier_config = TierConfig(args.fast_bytes, args.chunk_bytes,
                                          args.lookahead)
@@ -109,8 +107,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.optimize_labels:
         from .layout import PartitionLayout
-        local = (args.local_qubits if args.local_qubits is not None
-                 else circuit.n_qubits - (args.ranks.bit_length() - 1))
         permutation = optimize_labels(circuit, PartitionLayout(circuit.n_qubits, local))
         circuit = relabel(circuit, permutation)
 

@@ -1,19 +1,20 @@
 """Distributed execution of a circuit over in-process rank workers.
 
-Every gate runs as a bulk-synchronous round.  Gates whose qubits are all
-local apply independently on each rank.  A gate with one qubit in the rank
-bits pairs the ranks: each side sends the half of its array whose pair
-updates the partner computes, receives the partner's matching half, computes
-both new members of its assigned pairs, and the partner's updated half is
-handed back within the same round through process-shared memory rather than
-a second counted transfer.  Ledger bytes therefore equal the planned
-exchange volume exactly: half the local elements per rank for a pairwise
-gate, three quarters for a four-rank gate, at the storage mode's bytes per
-element.
+Every gate runs as a bulk-synchronous round.  A diagonal gate, or one whose
+qubits are all local, applies independently on each rank.  Every other gate
+goes through the one group exchange of ``exchange``, as do measured qubits
+in the rank bits: the 2**k ranks that differ in the gate's k rank bits trade
+the parts each member owns, each member applies the gate to the stacked
+components of its own part, and every member's results go back into that
+member's part within the same round through process-shared memory rather
+than a second counted transfer.  Ledger bytes therefore equal the planned
+exchange volume, 1 - 2**-k of the local elements per rank at the storage
+mode's bytes per element, and each send charges exactly what it carries.
 
-In byte-encoded mode every gate ends with a codebook barrier: ranks propose
-the values they produced, the proposals are merged identically everywhere,
-and only then are results encoded back into storage.
+Fp modes store results at once.  In byte-encoded mode every gate ends with
+a codebook barrier: ranks propose the values they produced, the proposals
+are merged identically everywhere, and only then are results encoded back
+into storage.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
@@ -29,12 +30,15 @@ import numpy as np
 from . import gates as g
 from .circuit import Circuit, validate_circuit
 from .codec import Codebook
-from .kernels import apply_diagonal, apply_pair_arrays, apply_quad_arrays, apply_single, apply_two, pair_indices
+from .exchange import group_exchange, stacked_qubits
+from .kernels import apply_diagonal, apply_single, apply_two
 from .layout import ExchangePlan, PartitionLayout, TrafficLedger, plan_exchange
 from .measure import ExpectationReport, measure_all
 from .state import LocalState, PrecisionMode
 from .tier import StagingPlan, TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
+
+LOCAL_BLOCK = 1 << 13  # amplitudes per kernel call on the local path
 
 
 @dataclass
@@ -123,6 +127,7 @@ class _Engine:
         if rank_order_seed is not None:
             random.Random(rank_order_seed).shuffle(self.rank_order)
         self.report: ExpectationReport | None = None
+        self._proposals, self._pending = {}, []
         self.tier_accounts = None
         self.staging_plan: StagingPlan | None = None
         if tier_config is not None:
@@ -154,224 +159,76 @@ class _Engine:
                                           self.ledgers, self.codebook, self.rank_order)
             elif plan.kind == "none":
                 self._apply_local(gate)
-            elif plan.kind == "pairwise":
-                self._apply_pairwise(gate, plan)
             else:
-                self._apply_quad(gate, plan)
+                self._apply_exchange(gate, plan)
         except TransportError as exc:
             raise RuntimeError(f"gate {ordinal} ({gate.kind}): {exc}") from exc
         for ledger in self.ledgers:
             ledger.gate_operations += 1
 
     def _apply_local(self, gate: g.Gate) -> None:
+        """Fp modes compute in place; byte mode on a decoded copy it commits."""
         n_local = self.layout.local_qubits
-        if self.mode is PrecisionMode.BYTE:
-            self._apply_local_byte(gate)
-            return
+        decoded = self.codebook is not None
         for rank in self.rank_order:
-            psi = self.states[rank].psi
+            where, qubits = slice(None), gate.qubits
             if g.is_diagonal(gate):
-                if self._diagonal_active(gate, rank):
-                    local_bits = tuple(q for q in gate.qubits if q < n_local)
-                    apply_diagonal(psi, local_bits, g.diagonal_factor(gate))
-            elif len(gate.qubits) == 1:
-                apply_single(psi, gate.qubits[0], g.unitary_matrix(gate))
-            else:
-                apply_two(psi, gate.qubits[0], gate.qubits[1], g.unitary_matrix(gate))
-
-    def _diagonal_active(self, gate: g.Gate, rank: int) -> bool:
-        n_local = self.layout.local_qubits
-        return all((rank >> (q - n_local)) & 1 for q in gate.qubits if q >= n_local)
-
-    def _apply_local_byte(self, gate: g.Gate) -> None:
-        n_local = self.layout.local_qubits
-        n_ranks = self.layout.rank_count
-        wheres = [None] * n_ranks
-        produced = [None] * n_ranks
-        for rank in self.rank_order:
-            working = self.states[rank].working(self.codebook)
-            if g.is_diagonal(gate):
-                if not self._diagonal_active(gate, rank):
+                if not all((rank >> (q - n_local)) & 1 for q in qubits if q >= n_local):
                     continue
-                local_bits = tuple(q for q in gate.qubits if q < n_local)
-                idx = np.arange(working.size)
-                mask = np.ones(working.size, dtype=bool)
-                for b in local_bits:
-                    mask &= (idx >> b) & 1 == 1
-                wheres[rank] = np.flatnonzero(mask)
-                produced[rank] = working[mask] * g.diagonal_factor(gate)
-            else:
-                if len(gate.qubits) == 1:
-                    apply_single(working, gate.qubits[0], g.unitary_matrix(gate))
-                else:
-                    apply_two(working, gate.qubits[0], gate.qubits[1],
-                              g.unitary_matrix(gate))
-                wheres[rank] = slice(None)
-                produced[rank] = working
-        self._byte_barrier(produced)
-        for rank in self.rank_order:
-            if produced[rank] is not None:
-                self.states[rank].store(produced[rank], self.codebook,
-                                        where=wheres[rank])
+                qubits = tuple(q for q in qubits if q < n_local)
+                if decoded:
+                    ones = sum(1 << q for q in qubits)
+                    index = np.arange(self.layout.local_size)
+                    where, qubits = np.flatnonzero((index & ones) == ones), ()
+            state = self.states[rank]
+            psi = state.working(self.codebook, where) if decoded else state.psi
+            # whole pair groups per block keep kernel temporaries small
+            block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
+            for start in range(0, psi.size, block):
+                _apply_gate(psi[start:start + block], gate, qubits)
+            if decoded:
+                self._write(rank, psi, [(rank, where, psi)])
+        self._commit()
 
-    def _byte_barrier(self, produced_per_rank: list[np.ndarray | None]) -> None:
-        """Synchronise codebooks on the values every rank just produced."""
-        empty = np.zeros(0, dtype=np.complex128)
-        proposals = [None] * self.layout.rank_count
-        for rank in self.rank_order:
-            values = produced_per_rank[rank]
-            proposals[rank] = self.codebook.propose(
-                values if values is not None else empty)
+    def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
+        qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
+        for rank, members, own, stacked in group_exchange(
+                self.states, self.transport, plan.masks, self.rank_order,
+                self.codebook, gate.qubits):
+            _apply_gate(stacked.reshape(-1), gate, qubits)
+            self._write(rank, stacked, [(m, own, stacked[p]) for p, m in enumerate(members)])
+        self._commit()
+
+    # -- storage commit ----------------------------------------------------
+
+    def _write(self, rank: int, produced: np.ndarray, writes: list) -> None:
+        """Store what ``rank`` computed: fp at once, byte after ``_commit``."""
+        if self.codebook is None:
+            for owner, where, values in writes:
+                self.states[owner].store(values, None, where)
+            return
+        self._proposals[rank] = self.codebook.propose(produced)
+        self._pending += writes
+
+    def _commit(self) -> None:
+        """Byte mode: merge all ranks' proposals, then encode the held writes."""
+        if self.codebook is None:
+            return
+        empty = self.codebook.propose(np.zeros(0, dtype=np.complex128))
+        proposals = [self._proposals.get(rank, empty)
+                     for rank in range(self.layout.rank_count)]
         self.codebook.merge(self.transport.collective(proposals))
+        for owner, where, values in self._pending:
+            self.states[owner].store(values, self.codebook, where)
+        self._proposals, self._pending = {}, []
 
-    # -- exchange rounds ---------------------------------------------------
 
-    def _payload(self, rank: int, where) -> object:
-        state = self.states[rank]
-        if self.mode is PrecisionMode.BYTE:
-            return state.mag_idx[where].copy(), state.phase_idx[where].copy()
-        return state.psi[where].copy()
+def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...]) -> None:
+    """Apply ``gate`` in place with its qubits at the given bits of ``psi``."""
+    if g.is_diagonal(gate):
+        apply_diagonal(psi, qubits, g.diagonal_factor(gate))
+    elif len(qubits) == 1:
+        apply_single(psi, qubits[0], g.unitary_matrix(gate))
+    else:
+        apply_two(psi, qubits[0], qubits[1], g.unitary_matrix(gate))
 
-    def _payload_values(self, payload) -> np.ndarray:
-        if self.mode is PrecisionMode.BYTE:
-            return self.codebook.decode(*payload)
-        return payload.astype(np.complex128)
-
-    def _apply_pairwise(self, gate: g.Gate, plan: ExchangePlan) -> None:
-        if len(gate.qubits) == 1:
-            self._pairwise_single(gate, plan)
-        else:
-            self._pairwise_two_qubit(gate, plan)
-
-    def _pairwise_single(self, gate: g.Gate, plan: ExchangePlan) -> None:
-        mask = plan.masks[0]
-        half = self.layout.local_size // 2
-        matrix = g.unitary_matrix(gate)
-        for rank in self.rank_order:
-            low_side = (rank & mask) == 0
-            send_sl = slice(half, None) if low_side else slice(0, half)
-            self.transport.send(rank, rank ^ mask, self._payload(rank, send_sl),
-                                plan.bytes_per_rank)
-        updates = {rank: [] for rank in range(self.layout.rank_count)}
-        produced = [None] * self.layout.rank_count
-        for rank in self.rank_order:
-            partner = rank ^ mask
-            low_side = (rank & mask) == 0
-            own_sl = slice(0, half) if low_side else slice(half, None)
-            received = self._payload_values(self.transport.recv(rank, partner))
-            own = self.states[rank].working(self.codebook)[own_sl]
-            a0, a1 = (own, received) if low_side else (received, own)
-            r0, r1 = apply_pair_arrays(a0, a1, matrix)
-            own_result, partner_result = (r0, r1) if low_side else (r1, r0)
-            updates[rank].append((own_sl, own_result))
-            updates[partner].append((own_sl, partner_result))
-            produced[rank] = np.concatenate([r0, r1])
-        self._store_updates(updates, produced)
-
-    def _pairwise_two_qubit(self, gate: g.Gate, plan: ExchangePlan) -> None:
-        n_local = self.layout.local_qubits
-        mask = plan.masks[0]
-        (q_low,) = (q for q in gate.qubits if q < n_local)
-        (q_high,) = (q for q in gate.qubits if q >= n_local)
-        matrix = g.unitary_matrix(gate)
-        step = 1 << q_low
-        bases = pair_indices(n_local, q_low)
-        quarter = len(bases) // 2
-        base_halves = (bases[:quarter], bases[quarter:])
-
-        def positions(for_low_side: bool) -> np.ndarray:
-            own_bases = base_halves[0 if for_low_side else 1]
-            return np.concatenate([own_bases, own_bases + step])
-
-        for rank in self.rank_order:
-            low_side = (rank & mask) == 0
-            self.transport.send(rank, rank ^ mask,
-                                self._payload(rank, positions(not low_side)),
-                                plan.bytes_per_rank)
-        updates = {rank: [] for rank in range(self.layout.rank_count)}
-        produced = [None] * self.layout.rank_count
-        for rank in self.rank_order:
-            partner = rank ^ mask
-            low_side = (rank & mask) == 0
-            my_bases = base_halves[0 if low_side else 1]
-            own = self.states[rank].working(self.codebook)
-            received = self._payload_values(self.transport.recv(rank, partner))
-            k = len(my_bases)
-            own0, own1 = own[my_bases], own[my_bases + step]
-            rec0, rec1 = received[:k], received[k:]
-            comp = {}
-            comp[(0, 0 if low_side else 1)] = own0
-            comp[(1, 0 if low_side else 1)] = own1
-            comp[(0, 1 if low_side else 0)] = rec0
-            comp[(1, 1 if low_side else 0)] = rec1
-
-            def bit_pair(m: int) -> tuple[int, int]:
-                xa, xb = m & 1, m >> 1
-                return (xa, xb) if gate.qubits[0] == q_low else (xb, xa)
-
-            out = apply_quad_arrays([comp[bit_pair(m)] for m in range(4)], matrix)
-            results = {bit_pair(m): out[m] for m in range(4)}
-            own_bit = 0 if low_side else 1
-            my_positions = positions(low_side)
-            updates[rank].append((my_positions,
-                                  np.concatenate([results[(0, own_bit)],
-                                                  results[(1, own_bit)]])))
-            updates[partner].append((my_positions,
-                                     np.concatenate([results[(0, 1 - own_bit)],
-                                                     results[(1, 1 - own_bit)]])))
-            produced[rank] = np.concatenate(out)
-        self._store_updates(updates, produced)
-
-    def _apply_quad(self, gate: g.Gate, plan: ExchangePlan) -> None:
-        mask_a, mask_b = plan.masks
-        quarter = self.layout.local_size // 4
-        matrix = g.unitary_matrix(gate)
-        message_bytes = quarter * plan.bytes_per_element
-
-        def position_of(rank: int) -> int:
-            return (1 if rank & mask_a else 0) + (2 if rank & mask_b else 0)
-
-        def rank_at(rank: int, position: int) -> int:
-            base = rank & ~(mask_a | mask_b)
-            return base | (mask_a if position & 1 else 0) | (mask_b if position & 2 else 0)
-
-        def quarter_slice(position: int) -> slice:
-            return slice(position * quarter, (position + 1) * quarter)
-
-        for rank in self.rank_order:
-            for pos in range(4):
-                member = rank_at(rank, pos)
-                if member != rank:
-                    self.transport.send(rank, member,
-                                        self._payload(rank, quarter_slice(pos)),
-                                        message_bytes)
-        updates = {rank: [] for rank in range(self.layout.rank_count)}
-        produced = [None] * self.layout.rank_count
-        for rank in self.rank_order:
-            my_pos = position_of(rank)
-            my_sl = quarter_slice(my_pos)
-            comp = [None] * 4
-            comp[my_pos] = self.states[rank].working(self.codebook)[my_sl]
-            for pos in range(4):
-                if pos != my_pos:
-                    comp[pos] = self._payload_values(
-                        self.transport.recv(rank, rank_at(rank, pos)))
-            out = apply_quad_arrays(comp, matrix)
-            for pos in range(4):
-                updates[rank_at(rank, pos)].append((my_sl, out[pos]))
-            produced[rank] = np.concatenate(out)
-        self._store_updates(updates, produced)
-
-    def _store_updates(self, updates: dict, produced: list) -> None:
-        """Write computed pair members back to their owners.
-
-        The partner's share returns through shared memory inside the same
-        exchange round; only the counted send/receive legs cross the
-        transport.  In byte mode the codebook barrier runs first so every
-        rank encodes against the same tables.
-        """
-        if self.mode is PrecisionMode.BYTE:
-            self._byte_barrier(produced)
-        for rank in self.rank_order:
-            for where, values in updates[rank]:
-                self.states[rank].store(values, self.codebook, where=where)

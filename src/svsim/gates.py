@@ -86,7 +86,9 @@ def phase_angle(k: int) -> float:
     """Rotation angle for phase exponent k: sign(k) * 2*pi / 2**|k|."""
     if k == 0:
         raise ValueError("phase exponent must be nonzero")
-    return math.copysign(2.0 * math.pi / (1 << abs(k)), k)
+    # exact like the division by 2**|k|, but huge |k| underflows to 0.0
+    # where 2**|k| would overflow a float
+    return math.copysign(math.ldexp(2.0 * math.pi, -abs(k)), k)
 
 
 def is_diagonal(gate: Gate) -> bool:
@@ -155,6 +157,8 @@ def validate_gate(gate: Gate, n_qubits: int) -> None:
         dim = 2 if gate.kind == "U2" else 4
         if gate.matrix is None or gate.matrix.shape != (dim, dim):
             raise ValueError(f"{gate.kind} requires a {dim}x{dim} matrix")
+        if not np.all(np.isfinite(gate.matrix)):
+            raise ValueError(f"{gate.kind} matrix has non-finite entries")
         residual = unitarity_residual(gate.matrix)
         if residual >= 1e-12:
             raise ValueError(f"{gate.kind} matrix is not unitary (residual {residual:.2e})")

@@ -5,10 +5,11 @@ x, y and z, i.e. (1 - <sigma>) / 2.  With this convention a qubit in |1>
 reads (0.50, 0.50, 1.00) and a qubit in |+> reads (0.00, 0.50, 0.50).
 
 Measurement only reads the state.  A qubit below the local width is summed
-rank-locally; a qubit at or above it needs the partner rank's matching
-half, one pairwise exchange of half the local elements per such qubit, with
-each rank summing the half of the pair products it received data for.
-Scalar reductions ride the collective channel and cost no counted bytes.
+rank-locally.  A qubit at or above it is one round of the group exchange of
+``exchange`` between partner ranks: each rank sends its partner the stored
+half the partner owns, so the send charges the bytes it carries, and sums
+the pair products over its own half.  Scalar reductions ride the collective
+channel and cost no counted bytes.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codebook
+from .exchange import group_exchange
 from .layout import PartitionLayout, TrafficLedger
 from .state import LocalState, PrecisionMode
 from .transport import Transport
@@ -60,11 +62,8 @@ def measure_all(states: list[LocalState], layout: PartitionLayout,
                 transport: Transport, ledgers: list[TrafficLedger],
                 codebook: Codebook | None = None,
                 rank_order: list[int] | None = None) -> ExpectationReport:
-    n = layout.total_qubits
     n_local = layout.local_qubits
     n_ranks = layout.rank_count
-    half = layout.local_size // 2
-    mode = states[0].mode
     order = list(rank_order) if rank_order is not None else list(range(n_ranks))
 
     workings = [None] * n_ranks
@@ -74,30 +73,18 @@ def measure_all(states: list[LocalState], layout: PartitionLayout,
     total_norm = sum(transport.collective(local_norms))
 
     qx, qy, qz = [], [], []
-    for q in range(n):
+    for q in range(layout.total_qubits):
         ones = [0.0] * n_ranks
         cross = [0j] * n_ranks
         if q < n_local:
             for rank in order:
                 ones[rank], cross[rank] = _pair_sums_local(workings[rank], q)
         else:
-            mask = 1 << (q - n_local)
-            payload_bytes = half * mode.bytes_per_element
-            for rank in order:
-                partner = rank ^ mask
-                low_side = (rank & mask) == 0
-                send_sl = slice(half, None) if low_side else slice(0, half)
-                transport.send(rank, partner, workings[rank][send_sl].copy(),
-                               payload_bytes)
-            for rank in order:
-                partner = rank ^ mask
-                low_side = (rank & mask) == 0
-                received = transport.recv(rank, partner)
-                own_sl = slice(0, half) if low_side else slice(half, None)
-                own = workings[rank][own_sl]
-                a0, a1 = (own, received) if low_side else (received, own)
+            bit = q - n_local
+            for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,),
+                                                       order, codebook):
                 cross[rank] = complex(np.sum(a0.conj() * a1))
-                if (rank >> (q - n_local)) & 1:
+                if (rank >> bit) & 1:
                     ones[rank] = local_norms[rank]
         s = sum(transport.collective(cross))
         z = sum(transport.collective(ones))

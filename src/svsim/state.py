@@ -70,34 +70,33 @@ class LocalState:
     def storage_nbytes(self) -> int:
         return self.size * self.mode.bytes_per_element
 
-    def working(self, codebook: Codebook | None = None) -> np.ndarray:
-        """Decoded complex128 copy of the full slice."""
+    def working(self, codebook: Codebook | None = None, where=slice(None)) -> np.ndarray:
+        """Decoded complex128 copy of the slice, or of its ``where`` positions."""
         if self.mode is PrecisionMode.BYTE:
-            return codebook.decode(self.mag_idx, self.phase_idx)
-        return self.psi.astype(np.complex128)
+            return codebook.decode(self.mag_idx[where], self.phase_idx[where])
+        return self.psi[where].astype(np.complex128)
+
+    def payload(self, where):
+        """Copy of the stored form at ``where``: what an exchange sends."""
+        if self.mode is PrecisionMode.BYTE:
+            return self.mag_idx[where].copy(), self.phase_idx[where].copy()
+        return self.psi[where].copy()
+
+    def values(self, payload, codebook: Codebook | None = None) -> np.ndarray:
+        """Amplitudes a payload carries; fp payloads are returned as they are."""
+        if self.mode is PrecisionMode.BYTE:
+            return codebook.decode(*payload)
+        return payload
 
     def store(self, values: np.ndarray, codebook: Codebook | None = None,
-              where: np.ndarray | None = None) -> None:
+              where=slice(None)) -> None:
         """Write back computed values, re-encoding as the mode requires.
 
-        ``where`` restricts the write to an index array or boolean mask; in
-        BYTE mode untouched positions keep their existing bytes.  BYTE writes
+        ``where`` restricts the write to a slice or an index array; in BYTE
+        mode untouched positions keep their existing bytes.  BYTE writes
         must happen after the codebook barrier for the producing gate.
         """
         if self.mode is PrecisionMode.BYTE:
-            vals = values if where is None else values
-            mag, ph = codebook.encode(vals)
-            if where is None:
-                self.mag_idx[:] = mag
-                self.phase_idx[:] = ph
-            else:
-                self.mag_idx[where] = mag
-                self.phase_idx[where] = ph
-        elif where is None:
-            self.psi[:] = values
+            self.mag_idx[where], self.phase_idx[where] = codebook.encode(values)
         else:
             self.psi[where] = values
-
-    def norm_squared(self, codebook: Codebook | None = None) -> float:
-        w = self.working(codebook)
-        return float(np.real(np.vdot(w, w)))

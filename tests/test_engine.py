@@ -3,6 +3,7 @@ import pytest
 
 from svsim import (Circuit, PrecisionMode, build_benchmark, gates as g,
                    oracle_run, run_circuit)
+from svsim.layout import TrafficLedger
 from svsim.transport import Transport, TransportError
 
 from conftest import RecordingTransport, haar_unitary, random_circuit
@@ -151,3 +152,74 @@ def test_scheduling_invariance_of_states_and_ledgers(rng):
     assert np.array_equal(a.gathered_state(), b.gathered_state())
     assert [l.snapshot() for l in a.ledgers] == [l.snapshot() for l in b.ledgers]
     assert a.report == b.report
+
+
+def test_every_send_charges_the_bytes_it_carries():
+    circuit = build_benchmark(10)
+    local = 1 << 8
+    high_gates = sum(1 for gate in circuit.gates
+                     if gate.kind == "H" and gate.qubits[0] >= 8)
+    for mode in PrecisionMode:
+        sends = []
+
+        class Carried(Transport):
+            def send(self, src, dst, payload, nbytes):
+                parts = (payload,) if isinstance(payload, np.ndarray) else payload
+                sends.append((nbytes, sum(part.nbytes for part in parts)))
+                super().send(src, dst, payload, nbytes)
+
+        result = run_circuit(circuit, ranks=4, mode=mode, transport_factory=Carried)
+        assert len(sends) == result.total_messages == 4 * (high_gates + 2)
+        assert [charged for charged, _ in sends] == [carried for _, carried in sends]
+        # gates and the two high measured qubits each move half the slice
+        assert result.total_bytes_sent == (
+            4 * (high_gates + 2) * (local // 2) * mode.bytes_per_element)
+
+
+def test_send_rejects_a_charge_other_than_the_payload_size():
+    ledgers = [TrafficLedger(), TrafficLedger()]
+    transport = Transport(2, ledgers)
+    with pytest.raises(TransportError, match="charges 8 B but carries 16 B"):
+        transport.send(0, 1, np.zeros(1, dtype=np.complex128), 8)
+    assert ledgers[0].snapshot() == TrafficLedger().snapshot()
+    transport.send(0, 1, (np.zeros(2, dtype=np.uint8), np.zeros(2, dtype=np.uint8)), 4)
+    assert ledgers[1].inter_rank_bytes_received == 4
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_two_qubit_gate_on_the_top_local_bit(rng, mode):
+    # the gate's local qubit is the top local bit, so each rank's share of the
+    # pair exchange is the index set where the bit below it reads the rank's bit
+    n = 6
+    tolerance = 1e-5 if mode is PrecisionMode.FP32 else 1e-12
+    # byte mode stays exact on H, X, Z, CNOT and real +-1/2 matrices
+    u4 = (np.kron(g.H_MATRIX, g.H_MATRIX) if mode is PrecisionMode.BYTE
+          else haar_unitary(rng, 4))
+    for ranks in (2, 4, 8):
+        top = n - ranks.bit_length()
+        gates = [g.h(q) for q in range(n)] + [g.z(0), g.x(top), g.cphase(1, n - 1, 1)]
+        for high in range(top + 1, n):
+            for qa, qb in ((top, high), (high, top)):
+                gates += [g.cnot(qa, qb), g.u4(qa, qb, u4), g.h(qb), g.z(qa)]
+        circuit = Circuit(n, tuple(gates) + (g.measure_all(),))
+        _, expected = oracle_run(circuit)
+        a = run_circuit(circuit, ranks=ranks, mode=mode, rank_order_seed=3)
+        b = run_circuit(circuit, ranks=ranks, mode=mode, rank_order_seed=11)
+        assert a.report.max_difference(expected) < tolerance
+        assert np.array_equal(a.gathered_state(), b.gathered_state())
+        assert a.report == b.report
+        assert [l.snapshot() for l in a.ledgers] == [l.snapshot() for l in b.ledgers]
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_local_gates_in_blocks_match_whole_slice_bit_for_bit(rng, monkeypatch, mode):
+    import svsim.engine
+    circuit = random_circuit(rng, 9, 40)
+    runs = []
+    for block in (1 << 3, 1 << 30):
+        monkeypatch.setattr(svsim.engine, "LOCAL_BLOCK", block)
+        runs.append(run_circuit(circuit, ranks=2, mode=mode))
+    blocked, whole = runs
+    assert np.array_equal(blocked.gathered_state(), whole.gathered_state())
+    assert blocked.report == whole.report
+    assert [l.snapshot() for l in blocked.ledgers] == [l.snapshot() for l in whole.ledgers]

@@ -49,3 +49,24 @@ def test_validate_accepts_unitary_within_tolerance():
 def test_measure_takes_no_arguments():
     with pytest.raises(ValueError):
         g.validate_gate(g.Gate("M", (0,)), 2)
+
+
+def test_phase_angle_is_exact_and_underflows_for_huge_exponents():
+    for k in range(1, 1024):
+        assert g.phase_angle(k) == 2.0 * math.pi / (1 << k)
+        assert g.phase_angle(-k) == -(2.0 * math.pi / (1 << k))
+    assert g.phase_angle(2000) == 0.0
+    assert g.phase_angle(-10 ** 30) == 0.0
+    assert g.diagonal_factor(g.cphase(0, 1, 2000)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_matrices(bad):
+    m2 = g.H_MATRIX.copy()
+    m2[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        g.validate_gate(g.u2(0, m2), 2)
+    m4 = g.CNOT_MATRIX.copy()
+    m4[3, 1] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        g.validate_gate(g.u4(0, 1, m4), 2)
