@@ -7,7 +7,8 @@ Examples:
     svsim --circuit program.qc --ranks 2 --fast-bytes 65536 --chunk-bytes 4096
 
 Exit status 0 on success, 1 on circuit parse errors, 2 on usage problems
-(bad flags, unreadable files, inconsistent layout).
+(bad flags, unreadable files, an inconsistent layout or tier setting, or a
+state larger than the machine's memory).
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import sys
 from .builders import build_adder, build_benchmark
 from .circuit import Circuit, ParseError, parse_circuit
 from .engine import run_circuit
+from .layout import partition
 from .optimize import optimize_labels, relabel
 from .report import build_report
 from .state import PrecisionMode
@@ -86,33 +88,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"svsim: {args.circuit}: {exc}", file=sys.stderr)
         return 1
 
-    if args.ranks < 1 or args.ranks & (args.ranks - 1):
-        parser.exit(2, "svsim: --ranks must be a power of two\n")
-    if args.local_qubits is not None and args.local_qubits > circuit.n_qubits:
-        parser.exit(2, "svsim: --local-qubits cannot exceed the qubit count\n")
     if (args.fast_bytes is None) != (args.chunk_bytes is None):
         parser.exit(2, "svsim: --fast-bytes and --chunk-bytes go together\n")
 
-    mode = MODES[args.mode]
-    local = (args.local_qubits if args.local_qubits is not None
-             else circuit.n_qubits - (args.ranks.bit_length() - 1))
-    tier_config = None
-    if args.fast_bytes is not None:
-        if args.fast_bytes < (1 << local) * mode.bytes_per_element:
-            try:
-                tier_config = TierConfig(args.fast_bytes, args.chunk_bytes,
-                                         args.lookahead)
-            except ValueError as exc:
-                parser.exit(2, f"svsim: {exc}\n")
-
-    if args.optimize_labels:
-        from .layout import PartitionLayout
-        permutation = optimize_labels(circuit, PartitionLayout(circuit.n_qubits, local))
-        circuit = relabel(circuit, permutation)
-
     try:
+        tier_config = (None if args.fast_bytes is None else
+                       TierConfig(args.fast_bytes, args.chunk_bytes, args.lookahead))
+        if args.optimize_labels:
+            layout = partition(circuit.n_qubits, args.ranks, args.local_qubits)
+            circuit = relabel(circuit, optimize_labels(circuit, layout))
         result = run_circuit(circuit, ranks=args.ranks, local_qubits=args.local_qubits,
-                             mode=mode, tier_config=tier_config)
+                             mode=MODES[args.mode], tier_config=tier_config)
     except ValueError as exc:
         parser.exit(2, f"svsim: {exc}\n")
 

@@ -134,22 +134,32 @@ class Codebook:
             mask |= d <= tol
         return mask
 
+    def _fresh_mags(self, mags: np.ndarray) -> np.ndarray:
+        """Distinct magnitudes, ascending, that no entry already represents."""
+        mags = np.unique(mags)
+        mags = mags[~self._representable_mask(mags, "mag")]
+        return mags[_dedup_sorted(mags, is_mag=True)]
+
+    def _fresh_phases(self, thetas: np.ndarray, ux: np.ndarray, uy: np.ndarray):
+        """Distinct phases, ascending, that no entry already represents.
+
+        Each keeps the unit vector that sorts first among those sharing its
+        phase, so the result does not depend on the order of the input.
+        """
+        order = np.lexsort((uy, ux, thetas))
+        thetas, ux, uy = thetas[order], ux[order], uy[order]
+        first = np.ones(len(thetas), dtype=bool)
+        first[1:] = thetas[1:] != thetas[:-1]
+        thetas, ux, uy = thetas[first], ux[first], uy[first]
+        new = ~self._representable_mask(thetas, "phase")
+        thetas, ux, uy = thetas[new], ux[new], uy[new]
+        keep = _dedup_sorted(thetas, is_mag=False)
+        return thetas[keep], ux[keep], uy[keep]
+
     def propose(self, values: np.ndarray) -> Proposal:
         """Distinct canonical (r, theta) pairs not already representable."""
         r, theta, ux, uy = canonicalize(values)
-        mags = np.unique(r)
-        mags = mags[~self._representable_mask(mags, "mag")]
-        mags = mags[_dedup_sorted(mags, is_mag=True)]
-
-        order = np.lexsort((uy, ux, theta))
-        ts, tx, ty = theta[order], ux[order], uy[order]
-        first = np.ones(len(ts), dtype=bool)
-        first[1:] = ts[1:] != ts[:-1]
-        ts, tx, ty = ts[first], tx[first], ty[first]
-        new = ~self._representable_mask(ts, "phase")
-        ts, tx, ty = ts[new], tx[new], ty[new]
-        keep = _dedup_sorted(ts, is_mag=False)
-        return Proposal(mags, ts[keep], tx[keep], ty[keep])
+        return Proposal(self._fresh_mags(r), *self._fresh_phases(theta, ux, uy))
 
     def merge(self, proposals: list[Proposal]) -> None:
         """Append the union of all partitions' proposals, in ascending order.
@@ -158,10 +168,7 @@ class Codebook:
         number of partitions or their visiting order.
         """
         if proposals:
-            mags = np.concatenate([p.mags for p in proposals])
-            mags = np.unique(mags)
-            mags = mags[~self._representable_mask(mags, "mag")]
-            mags = mags[_dedup_sorted(mags, is_mag=True)]
+            mags = self._fresh_mags(np.concatenate([p.mags for p in proposals]))
             room = CAPACITY - len(self.mags)
             if len(mags) > room:
                 mags = mags[:max(room, 0)]
@@ -169,18 +176,9 @@ class Codebook:
             if len(mags):
                 self.mags = np.concatenate([self.mags, mags])
 
-            thetas = np.concatenate([p.thetas for p in proposals])
-            ux = np.concatenate([p.ux for p in proposals])
-            uy = np.concatenate([p.uy for p in proposals])
-            order = np.lexsort((uy, ux, thetas))
-            thetas, ux, uy = thetas[order], ux[order], uy[order]
-            first = np.ones(len(thetas), dtype=bool)
-            first[1:] = thetas[1:] != thetas[:-1]
-            thetas, ux, uy = thetas[first], ux[first], uy[first]
-            new = ~self._representable_mask(thetas, "phase")
-            thetas, ux, uy = thetas[new], ux[new], uy[new]
-            keep = _dedup_sorted(thetas, is_mag=False)
-            thetas, ux, uy = thetas[keep], ux[keep], uy[keep]
+            thetas, ux, uy = self._fresh_phases(np.concatenate([p.thetas for p in proposals]),
+                                                np.concatenate([p.ux for p in proposals]),
+                                                np.concatenate([p.uy for p in proposals]))
             room = CAPACITY - len(self.thetas)
             if len(thetas) > room:
                 thetas, ux, uy = thetas[:max(room, 0)], ux[:max(room, 0)], uy[:max(room, 0)]

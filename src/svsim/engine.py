@@ -18,12 +18,19 @@ into storage.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
+
+A run is planned whole before any state exists: the layout, one exchange
+plan per gate, the memory the state needs against the machine's physical
+memory, and the tier staging, replayed once because it is the same on every
+rank.  A layout, memory or tier error therefore raises before the first
+amplitude is allocated or the first byte is sent.
 """
 from __future__ import annotations
 
+import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,10 +39,11 @@ from .circuit import Circuit, validate_circuit
 from .codec import Codebook
 from .exchange import group_exchange, stacked_qubits
 from .kernels import apply_diagonal, apply_single, apply_two
-from .layout import ExchangePlan, PartitionLayout, TrafficLedger, plan_exchange
+from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, memory_bytes,
+                     partition, plan_exchange)
 from .measure import ExpectationReport, measure_all
 from .state import LocalState, PrecisionMode
-from .tier import StagingPlan, TierAccount, TierConfig, plan_passes
+from .tier import TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
 
 LOCAL_BLOCK = 1 << 13  # amplitudes per kernel call on the local path
@@ -50,6 +58,7 @@ class RunResult:
     ledgers: list[TrafficLedger]
     report: ExpectationReport | None
     codebook: Codebook | None
+    # the run's one tier account, as a one-element list; None untiered
     tier_accounts: list[TierAccount] | None
     wall_time_seconds: float
 
@@ -89,17 +98,7 @@ def run_circuit(circuit: Circuit, *, ranks: int = 1, local_qubits: int | None = 
                 rank_order_seed: int | None = None,
                 transport_factory=Transport) -> RunResult:
     validate_circuit(circuit)
-    if ranks < 1 or ranks & (ranks - 1):
-        raise ValueError("rank count must be a power of two")
-    log_ranks = ranks.bit_length() - 1
-    if local_qubits is None:
-        local_qubits = circuit.n_qubits - log_ranks
-    layout = PartitionLayout(circuit.n_qubits, local_qubits)
-    if layout.rank_count != ranks:
-        raise ValueError(
-            f"{ranks} ranks with {local_qubits} local qubits does not cover "
-            f"{circuit.n_qubits} qubits")
-
+    layout = partition(circuit.n_qubits, ranks, local_qubits)
     start = time.perf_counter()
     engine = _Engine(circuit, layout, mode, tier_config, rank_order_seed,
                      transport_factory)
@@ -112,11 +111,26 @@ def run_circuit(circuit: Circuit, *, ranks: int = 1, local_qubits: int | None = 
 class _Engine:
     def __init__(self, circuit, layout, mode, tier_config, rank_order_seed,
                  transport_factory=Transport):
+        need = memory_bytes(layout.total_qubits, mode)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"the state needs {need} B but the machine has {have} B of memory")
         self.circuit = circuit
         self.layout = layout
-        self.mode = mode
+        self.plans = [plan_exchange(layout, gate, mode) for gate in circuit.gates]
+        tier_ledger = TrafficLedger()
+        self.tier_accounts = None
+        if tier_config is not None:
+            account = TierAccount(layout.local_size * mode.bytes_per_element,
+                                  tier_config, tier_ledger)
+            for group in plan_passes(circuit.gates, tier_config,
+                                     layout.local_qubits, mode).groups:
+                account.account(group)
+            self.tier_accounts = [account]
+
         n = layout.rank_count
-        self.ledgers = [TrafficLedger() for _ in range(n)]
+        self.ledgers = [replace(tier_ledger) for _ in range(n)]
         self.transport = transport_factory(n, self.ledgers)
         self.codebook = Codebook() if mode is PrecisionMode.BYTE else None
         self.states = [
@@ -128,31 +142,15 @@ class _Engine:
             random.Random(rank_order_seed).shuffle(self.rank_order)
         self.report: ExpectationReport | None = None
         self._proposals, self._pending = {}, []
-        self.tier_accounts = None
-        self.staging_plan: StagingPlan | None = None
-        if tier_config is not None:
-            self.staging_plan = plan_passes(circuit.gates, tier_config,
-                                            layout.local_qubits, mode)
-            state_bytes = layout.local_size * mode.bytes_per_element
-            self.tier_accounts = [TierAccount(state_bytes, tier_config, led)
-                                  for led in self.ledgers]
 
     def run(self) -> None:
-        if self.staging_plan is None:
-            for ordinal, gate in enumerate(self.circuit.gates):
-                self._execute(gate, ordinal)
-        else:
-            for group in self.staging_plan.groups:
-                for account in self.tier_accounts:
-                    account.account(group)
-                for ordinal in group.gate_indices:
-                    self._execute(self.circuit.gates[ordinal], ordinal)
+        for ordinal, (gate, plan) in enumerate(zip(self.circuit.gates, self.plans)):
+            self._execute(gate, plan, ordinal)
         self.transport.assert_drained()
 
     # -- per-gate dispatch ------------------------------------------------
 
-    def _execute(self, gate: g.Gate, ordinal: int) -> None:
-        plan = plan_exchange(self.layout, gate, self.mode)
+    def _execute(self, gate: g.Gate, plan: ExchangePlan, ordinal: int) -> None:
         try:
             if gate.kind == "M":
                 self.report = measure_all(self.states, self.layout, self.transport,
@@ -170,20 +168,22 @@ class _Engine:
         """Fp modes compute in place; byte mode on a decoded copy it commits."""
         n_local = self.layout.local_qubits
         decoded = self.codebook is not None
+        where, qubits, rank_bits = slice(None), gate.qubits, 0
+        if g.is_diagonal(gate):
+            # a diagonal gate acts only where all its qubits read one
+            rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
+            qubits = tuple(q for q in qubits if q < n_local)
+            if decoded:
+                ones = sum(1 << q for q in qubits)
+                index = np.arange(self.layout.local_size)
+                where, qubits = np.flatnonzero((index & ones) == ones), ()
+        # whole pair groups per block keep kernel temporaries small
+        block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         for rank in self.rank_order:
-            where, qubits = slice(None), gate.qubits
-            if g.is_diagonal(gate):
-                if not all((rank >> (q - n_local)) & 1 for q in qubits if q >= n_local):
-                    continue
-                qubits = tuple(q for q in qubits if q < n_local)
-                if decoded:
-                    ones = sum(1 << q for q in qubits)
-                    index = np.arange(self.layout.local_size)
-                    where, qubits = np.flatnonzero((index & ones) == ones), ()
+            if rank & rank_bits != rank_bits:
+                continue
             state = self.states[rank]
             psi = state.working(self.codebook, where) if decoded else state.psi
-            # whole pair groups per block keep kernel temporaries small
-            block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
             for start in range(0, psi.size, block):
                 _apply_gate(psi[start:start + block], gate, qubits)
             if decoded:

@@ -2,20 +2,21 @@
 
 The full index space of an N-qubit state is split over n = 2**(N - N')
 ranks; rank r owns the 2**N' global indices whose top N - N' bits equal r.
-Gates on qubits below N' touch only co-resident pairs and need no
-communication.  A non-diagonal single-qubit gate on qubit j >= N' pairs each
-rank with rank XOR 2**(j - N') and moves half the local elements in each
-direction; a generic two-qubit gate with both qubits high spreads each
-quadruple over a four-rank group and moves three quarters per rank.
-Diagonal gates never move data regardless of their qubit indices.
+Gates on qubits below N' touch only co-resident amplitudes and need no
+communication, and diagonal gates never move data regardless of their
+qubit indices.  Every other gate has k = 1 or 2 qubits at or above N' and
+couples the 2**k ranks that differ only in those bits.
 
+The exchange-volume law is stated once, in ``exchanged_elements``: such a
+gate moves 1 - 2**-k of the local elements out of every rank.  The exchange
+planner, the label optimizer and the tier planner all take it from here.
 The traffic ledger records these volumes exactly (count times bytes per
-element for the storage mode), which is what makes the volume rules
-assertable in tests.
+element for the storage mode), which is what makes the law assertable in
+tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import gates as g
 from .state import PrecisionMode
@@ -75,25 +76,48 @@ class ExchangePlan:
         return self.element_count * self.bytes_per_element
 
 
+def partition(n_qubits: int, ranks: int, local_qubits: int | None = None) -> PartitionLayout:
+    """Layout of ``n_qubits`` over ``ranks`` partitions.
+
+    ``local_qubits`` defaults to the qubits left after the rank bits; a given
+    value must make the layout cover exactly ``ranks`` partitions.
+    """
+    if ranks < 1 or ranks & (ranks - 1):
+        raise ValueError("rank count must be a power of two")
+    if local_qubits is None:
+        local_qubits = n_qubits - (ranks.bit_length() - 1)
+    layout = PartitionLayout(n_qubits, local_qubits)
+    if layout.rank_count != ranks:
+        raise ValueError(
+            f"{ranks} ranks with {local_qubits} local qubits does not cover "
+            f"{n_qubits} qubits")
+    return layout
+
+
+def exchange_qubits(gate: g.Gate, n_local: int) -> tuple[int, ...]:
+    """The gate's qubits in the rank bits; none for measurement or a diagonal."""
+    if gate.kind == "M" or g.is_diagonal(gate):
+        return ()
+    return tuple(q for q in gate.qubits if q >= n_local)
+
+
+def exchanged_elements(local_size: int, k: int) -> int:
+    """Elements each rank sends for a gate with ``k`` qubits in the rank bits."""
+    return local_size - (local_size >> k)
+
+
 def plan_exchange(layout: PartitionLayout, gate: g.Gate, mode: PrecisionMode) -> ExchangePlan:
     """Exchange volume and partners implied by a gate under a layout."""
-    none = ExchangePlan("none", (), 0, mode.bytes_per_element)
-    if gate.kind == "M" or g.is_diagonal(gate):
-        return none
     n_local = layout.local_qubits
-    high = tuple(q for q in gate.qubits if q >= n_local)
+    high = exchange_qubits(gate, n_local)
     if not high:
-        return none
-    half = layout.local_size // 2
-    if len(high) == 1:
-        if len(gate.qubits) == 2 and layout.local_size < 4:
-            raise ValueError("two-qubit exchange needs at least 4 local amplitudes")
-        mask = 1 << (high[0] - n_local)
-        return ExchangePlan("pairwise", (mask,), half, mode.bytes_per_element)
-    if layout.local_size < 4:
+        return ExchangePlan("none", (), 0, mode.bytes_per_element)
+    if len(gate.qubits) == 2 and layout.local_size < 4:
         raise ValueError("two-qubit exchange needs at least 4 local amplitudes")
-    masks = tuple(1 << (q - n_local) for q in high)
-    return ExchangePlan("quad", masks, 3 * layout.local_size // 4, mode.bytes_per_element)
+    return ExchangePlan("pairwise" if len(high) == 1 else "quad",
+                        tuple(1 << (q - n_local) for q in high),
+                        exchanged_elements(layout.local_size, len(high)),
+                        mode.bytes_per_element)
 
 
 @dataclass

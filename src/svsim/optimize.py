@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from . import gates as g
 from .circuit import Circuit
-from .layout import PartitionLayout, plan_exchange
+from .layout import PartitionLayout, exchange_qubits, exchanged_elements, plan_exchange
 from .state import PrecisionMode
 
 
@@ -51,14 +50,11 @@ def optimize_labels(circuit: Circuit, layout: PartitionLayout) -> tuple[int, ...
     less traffic, so the result never predicts more than the identity.
     """
     n = circuit.n_qubits
-    half = layout.local_size // 2
     weights = [0] * n
     for gate in circuit.gates:
-        if gate.kind == "M" or g.is_diagonal(gate):
-            continue
-        volume = half if len(gate.qubits) == 1 else 3 * layout.local_size // 4
-        for q in gate.qubits:
-            weights[q] += volume
+        qubits = exchange_qubits(gate, 0)
+        for q in qubits:
+            weights[q] += exchanged_elements(layout.local_size, len(qubits))
     by_weight = sorted(range(n), key=lambda q: (-weights[q], q))
     permutation = [0] * n
     for new_index, q in enumerate(by_weight):

@@ -18,14 +18,17 @@ A look-ahead pass over the upcoming gates turns them into staging groups:
 
 The schedule and its counters model the data movement; gate arithmetic is
 identical with or without tiering, so tiered results match untiered results
-bit for bit.
+bit for bit.  Staging depends only on the gates and the layout, never on a
+rank or on amplitude values, so a run replays the plan through one
+``TierAccount`` before any state exists, and every rank's ledger starts
+from that account's counters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import gates as g
-from .layout import TrafficLedger
+from .layout import TrafficLedger, exchange_qubits
 from .state import PrecisionMode
 
 # fast-tier chunk slots reserved as the staging area when oversubscribed
@@ -66,31 +69,14 @@ class StagingGroup:
 @dataclass(frozen=True)
 class StagingPlan:
     groups: tuple[StagingGroup, ...]
-    chunk_qubits: int
-    n_chunks: int
-
-    def passes(self):
-        """(chunks, gate_indices) pairs in execution order, for inspection."""
-        out = []
-        all_chunks = tuple(range(self.n_chunks))
-        for group in self.groups:
-            if group.kind == "run":
-                out.extend((ch, group.gate_indices) for ch in all_chunks)
-            elif group.kind == "mid":
-                out.extend((cg, group.gate_indices) for cg in group.chunk_groups)
-            else:
-                out.append((all_chunks, group.gate_indices))
-        return out
 
 
 def _classify(gate: g.Gate, chunk_qubits: int, n_local: int) -> str:
     if gate.kind == "M":
         return "measure"
-    if g.is_diagonal(gate):
-        return "run"
-    if any(q >= n_local for q in gate.qubits):
+    if exchange_qubits(gate, n_local):
         return "exchange"
-    if all(q < chunk_qubits for q in gate.qubits):
+    if g.is_diagonal(gate) or all(q < chunk_qubits for q in gate.qubits):
         return "run"
     return "mid"
 
@@ -140,7 +126,7 @@ def plan_passes(gate_list, config: TierConfig, n_local: int,
         else:
             groups.append(StagingGroup(kind, (i,)))
         i += 1
-    return StagingPlan(tuple(groups), chunk_qubits, n_chunks)
+    return StagingPlan(tuple(groups))
 
 
 def recommended_fast_bytes(state_bytes: int, chunk_bytes: int) -> int:
@@ -154,7 +140,10 @@ def recommended_fast_bytes(state_bytes: int, chunk_bytes: int) -> int:
 
 
 class TierAccount:
-    """Residency tracker and staging counter for one rank's chunks."""
+    """Residency tracker and staging counter for one rank's chunks.
+
+    The counts are the same on every rank, so a run keeps one account.
+    """
 
     def __init__(self, state_bytes: int, config: TierConfig, ledger: TrafficLedger):
         self.config = config

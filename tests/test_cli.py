@@ -30,3 +30,21 @@ def test_huge_phase_exponent_runs_as_the_identity(tmp_path, line):
     _, identity = _run(tmp_path, "identity", "qubits 2\nH 0\nH 1\nM\n")
     assert code == 0
     assert report["expectations"] == identity["expectations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--builder", "benchmark:8", "--ranks", "3"],
+    ["--builder", "benchmark:8", "--local-qubits", "9"],
+    ["--builder", "benchmark:8", "--ranks", "1024", "--fast-bytes", "4096",
+     "--chunk-bytes", "256"],
+    ["--builder", "benchmark:8", "--ranks", "1024", "--optimize-labels"],
+    ["--builder", "benchmark:8", "--local-qubits", "-1", "--optimize-labels"],
+    ["--builder", "benchmark:8", "--fast-bytes", "100000", "--chunk-bytes", "100"],
+    ["--builder", "benchmark:8", "--fast-bytes", "4096", "--chunk-bytes", "4096"],
+    ["--builder", "benchmark:40"],
+])
+def test_layout_tier_and_memory_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("svsim: ")

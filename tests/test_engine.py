@@ -4,6 +4,8 @@ import pytest
 from svsim import (Circuit, PrecisionMode, build_benchmark, gates as g,
                    oracle_run, run_circuit)
 from svsim.layout import TrafficLedger
+from svsim.state import LocalState
+from svsim.tier import TierConfig
 from svsim.transport import Transport, TransportError
 
 from conftest import RecordingTransport, haar_unitary, random_circuit
@@ -223,3 +225,40 @@ def test_local_gates_in_blocks_match_whole_slice_bit_for_bit(rng, monkeypatch, m
     assert np.array_equal(blocked.gathered_state(), whole.gathered_state())
     assert blocked.report == whole.report
     assert [l.snapshot() for l in blocked.ledgers] == [l.snapshot() for l in whole.ledgers]
+
+
+def test_infeasible_layout_raises_before_the_first_send():
+    transports = []
+
+    def factory(n, ledgers):
+        transports.append(RecordingTransport(n, ledgers))
+        return transports[-1]
+
+    # H 2 alone would exchange; CNOT 0 2 needs 4 local amplitudes per rank
+    circuit = Circuit(3, (g.h(2), g.cnot(0, 2)))
+    with pytest.raises(ValueError, match="4 local amplitudes"):
+        run_circuit(circuit, ranks=4, local_qubits=1, transport_factory=factory)
+    assert sum(len(t.sends) for t in transports) == 0
+
+
+@pytest.mark.parametrize("case", ["layout", "tier", "memory"])
+def test_planning_errors_raise_before_any_state_exists(monkeypatch, case):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a LocalState was allocated")
+
+    monkeypatch.setattr(LocalState, "zero_state", classmethod(no_state))
+    kwargs = {"ranks": 4}
+    if case == "layout":
+        circuit, kwargs["local_qubits"] = Circuit(3, (g.h(2), g.cnot(0, 2))), 1
+        match = "4 local amplitudes"
+    elif case == "tier":
+        # 64 local amplitudes in 16 chunks; U4 on qubits 2 and 3 co-stages
+        # four chunks, but the fast tier holds two
+        circuit = Circuit(8, (g.h(0), g.u4(2, 3, g.CNOT_MATRIX)))
+        kwargs["tier_config"] = TierConfig(128, 64)
+        match = "co-resident"
+    else:
+        circuit, kwargs["ranks"] = build_benchmark(40), 1
+        match = "the machine has"
+    with pytest.raises(ValueError, match=match):
+        run_circuit(circuit, **kwargs)

@@ -184,3 +184,21 @@ def test_single_element_chunks_fall_back_to_per_gate_staging():
     plan = plan_passes((g.h(0), g.h(1)), config, n_local, FP64)
     # chunk width zero: nothing can group, every gate stages chunk pairs
     assert [group.kind for group in plan.groups] == ["mid", "mid"]
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_every_rank_carries_one_replay_of_the_plan(rng, mode):
+    circuit = random_circuit(rng, 9, 30)
+    state_bytes = (1 << 7) * mode.bytes_per_element
+    config = TierConfig(state_bytes // 4, state_bytes // 32)
+    result = run_circuit(circuit, ranks=4, mode=mode, tier_config=config)
+    ledger = TrafficLedger()
+    account = TierAccount(state_bytes, config, ledger)
+    for group in plan_passes(circuit.gates, config, 7, mode).groups:
+        account.account(group)
+    assert ledger.tier_bytes_moved > 0
+    for rank_ledger in result.ledgers:
+        assert rank_ledger.tier_bytes_moved == ledger.tier_bytes_moved
+        assert rank_ledger.tier_transfer_count == ledger.tier_transfer_count
+    (one,) = result.tier_accounts
+    assert one.high_water_bytes == account.high_water_bytes
