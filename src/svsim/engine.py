@@ -20,10 +20,10 @@ Ranks are visited in a configurable order; all results and counters are
 independent of that order.
 
 A run is planned whole before any state exists: the layout, one exchange
-plan per gate, the memory the state needs against the machine's physical
-memory, and the tier staging, replayed once because it is the same on every
-rank.  A layout, memory or tier error therefore raises before the first
-amplitude is allocated or the first byte is sent.
+plan per gate, the run's peak memory (``layout.peak_bytes``) against the
+machine's physical memory, and the tier staging, replayed once because it
+is the same on every rank.  A layout, memory or tier error therefore raises
+before the first amplitude is allocated or the first byte is sent.
 """
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ from .circuit import Circuit, validate_circuit
 from .codec import Codebook
 from .exchange import group_exchange, stacked_qubits
 from .kernels import apply_diagonal, apply_single, apply_two
-from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, memory_bytes,
-                     partition, plan_exchange)
+from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, partition,
+                     peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all
 from .state import LocalState, PrecisionMode
 from .tier import TierAccount, TierConfig, plan_passes
@@ -111,11 +111,11 @@ def run_circuit(circuit: Circuit, *, ranks: int = 1, local_qubits: int | None = 
 class _Engine:
     def __init__(self, circuit, layout, mode, tier_config, rank_order_seed,
                  transport_factory=Transport):
-        need = memory_bytes(layout.total_qubits, mode)
+        need = peak_bytes(layout, mode)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ValueError(
-                f"the state needs {need} B but the machine has {have} B of memory")
+                f"the run needs up to {need} B but the machine has {have} B of memory")
         self.circuit = circuit
         self.layout = layout
         self.plans = [plan_exchange(layout, gate, mode) for gate in circuit.gates]
@@ -154,7 +154,7 @@ class _Engine:
         try:
             if gate.kind == "M":
                 self.report = measure_all(self.states, self.layout, self.transport,
-                                          self.ledgers, self.codebook, self.rank_order)
+                                          self.codebook, self.rank_order)
             elif plan.kind == "none":
                 self._apply_local(gate)
             else:
@@ -168,15 +168,13 @@ class _Engine:
         """Fp modes compute in place; byte mode on a decoded copy it commits."""
         n_local = self.layout.local_qubits
         decoded = self.codebook is not None
-        where, qubits, rank_bits = slice(None), gate.qubits, 0
+        where, qubits, rank_bits = (), gate.qubits, 0
         if g.is_diagonal(gate):
             # a diagonal gate acts only where all its qubits read one
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
             if decoded:
-                ones = sum(1 << q for q in qubits)
-                index = np.arange(self.layout.local_size)
-                where, qubits = np.flatnonzero((index & ones) == ones), ()
+                where, qubits = (qubits,), ()
         # whole pair groups per block keep kernel temporaries small
         block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         for rank in self.rank_order:

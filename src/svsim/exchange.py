@@ -4,9 +4,7 @@ An operation with k of its qubits in the rank bits couples the 2**k ranks
 that differ only in those bits: the group spanned by the plan's masks.  The
 member at position p, where bit j of p is the member's bit for the j-th
 high qubit, owns the local indices whose top k local bits not used by the
-operation read p.  That part is a contiguous half or quarter, except for a
-two-qubit gate whose local qubit is the top local bit: there the part is
-the index set where the bit below it reads p.
+operation read p: a ``(bits, values)`` part, viewed by ``kernels.bit_view``.
 
 Every member sends every other member that member's part, as a copy of its
 stored form (storage-dtype amplitudes, or the two codebook index arrays in
@@ -51,12 +49,9 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order,
     """
     n_local, k = states[0].n_local, len(masks)
     low = _low_part_bit(n_local, masks, qubits)
+    bits = tuple(range(low, low + k))
+    parts = [(bits, tuple(p >> j & 1 for j in range(k))) for p in range(1 << k)]
     size = 1 << (n_local - k)
-    if low + k == n_local:
-        parts = [slice(p * size, (p + 1) * size) for p in range(1 << k)]
-    else:
-        index = np.arange(1 << n_local).reshape(-1, 1 << k, 1 << low)
-        parts = [index[:, p, :].ravel() for p in range(1 << k)]
     nbytes = size * states[0].mode.bytes_per_element
     for rank in rank_order:
         for p, member in enumerate(_group_members(rank, masks)):

@@ -4,14 +4,15 @@ All kernels perform arithmetic in complex128 regardless of the array's
 storage dtype; storing back into a complex64 array truncates, which is the
 intended reduced-precision storage behaviour.
 
-A single-qubit gate on local qubit q updates the disjoint pairs
-(i, i + 2**q) over indices with bit q clear; a two-qubit gate updates the
-disjoint quadruples spanned by both qubit strides.  Updates are vectorised,
-so results do not depend on any internal visiting order.
+Every amplitude subset is named by the index bits it fixes, through the one
+view helper ``bit_view``: a gate on qubit q pairs the views where bit q
+reads 0 and 1, a two-qubit gate spans four views, and a diagonal gate
+scales the view where its qubits read 1.  Updates are vectorised, so
+results do not depend on any internal visiting order.
 
-The ``*_arrays`` variants operate element-wise across separate buffers that
-hold pair/quadruple components owned by different partitions (or different
-memory chunks); callers align the buffers so equal offsets are partners.
+``pair_indices`` and the ``*_arrays`` kernels (index arrays, separate
+aligned buffers) have no caller in the package; they stay as tested public
+kernels that the benchmark's tracer wraps by name.
 """
 from __future__ import annotations
 
@@ -27,17 +28,33 @@ def pair_indices(n_local: int, q: int) -> np.ndarray:
     return (base[:, None] + np.arange(step, dtype=np.int64)[None, :]).ravel()
 
 
+def bit_view(a: np.ndarray, bits=(), values=None) -> np.ndarray:
+    """Strided view of 1-D ``a`` where index bit ``bits[j]`` reads ``values[j]``.
+
+    ``values`` defaults to all ones; no bits means the whole array.  Ravelled,
+    the view visits its indices in ascending order.  Splitting the one axis
+    of a 1-D array never copies, so a write through the view lands in ``a``.
+    """
+    if a.ndim != 1:
+        raise ValueError(f"bit_view needs a 1-D array, not shape {a.shape}")
+    fixed = zip(bits, (1,) * len(bits) if values is None else values)
+    shape, index, span = [], [], a.size
+    for b, v in sorted(fixed, reverse=True):
+        if b < 0 or (2 << b) > span:
+            raise IndexError(f"bits {tuple(bits)} outside an array of {a.size}")
+        shape += [span >> (b + 1), 2]
+        index += [slice(None), v]
+        span = 1 << b
+    return a.reshape(shape + [span])[tuple(index) + (slice(None),)]
+
+
 def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray) -> None:
     """In-place 2x2 update of all (i, i + 2**q) pairs."""
-    n = psi.size
-    step = 1 << q
-    if step >= n:
-        raise IndexError(f"qubit {q} outside local array of {n} amplitudes")
-    view = psi.reshape(-1, 2, step)
-    a0 = view[:, 0, :].astype(np.complex128)
-    a1 = view[:, 1, :].astype(np.complex128)
-    view[:, 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    view[:, 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    v0, v1 = bit_view(psi, (q,), (0,)), bit_view(psi, (q,))
+    a0 = v0.astype(np.complex128)
+    a1 = v1.astype(np.complex128)
+    v0[...] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    v1[...] = matrix[1, 0] * a0 + matrix[1, 1] * a1
 
 
 def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray) -> None:
@@ -45,40 +62,23 @@ def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray) -> None:
 
     Matrix basis: index = bit(qa) + 2 * bit(qb).
     """
-    n = psi.size
     if qa == qb:
         raise ValueError("two-qubit gate requires distinct qubits")
-    if (1 << qa) >= n or (1 << qb) >= n:
-        raise IndexError(f"qubits ({qa}, {qb}) outside local array of {n} amplitudes")
-    lo, hi = sorted((qa, qb))
-    view = psi.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-
-    def comp(xa: int, xb: int) -> np.ndarray:
-        bit_hi, bit_lo = (xa, xb) if qa == hi else (xb, xa)
-        return view[:, bit_hi, :, bit_lo, :]
-
-    a = [comp(i & 1, i >> 1).astype(np.complex128) for i in range(4)]
-    for row in range(4):
-        comp(row & 1, row >> 1)[...] = (
-            matrix[row, 0] * a[0] + matrix[row, 1] * a[1]
-            + matrix[row, 2] * a[2] + matrix[row, 3] * a[3])
+    views = [bit_view(psi, (qa, qb), (i & 1, i >> 1)) for i in range(4)]
+    a = [v.astype(np.complex128) for v in views]
+    for row, view in enumerate(views):
+        view[...] = (matrix[row, 0] * a[0] + matrix[row, 1] * a[1]
+                     + matrix[row, 2] * a[2] + matrix[row, 3] * a[3])
 
 
 def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex) -> None:
     """Multiply by ``factor`` where every listed local bit reads 1.
 
-    Bits at or above the local width are the caller's responsibility: it
-    resolves them against the partition's global index base and either drops
-    them from ``local_bits`` or skips the call entirely.
+    A bit at or above the local width raises ``IndexError``; the caller
+    resolves rank bits itself and passes only local ones.
     """
-    if not local_bits:
-        psi *= np.complex128(factor)
-        return
-    idx = np.arange(psi.size, dtype=np.int64)
-    mask = np.ones(psi.size, dtype=bool)
-    for b in local_bits:
-        mask &= (idx >> b) & 1 == 1
-    psi[mask] = psi[mask].astype(np.complex128) * factor
+    view = bit_view(psi, local_bits)
+    view *= np.complex128(factor)
 
 
 def apply_pair_arrays(a0: np.ndarray, a1: np.ndarray, matrix: np.ndarray):

@@ -44,16 +44,26 @@ class PartitionLayout:
     def local_size(self) -> int:
         return 1 << self.local_qubits
 
-    def rank_base(self, rank: int) -> int:
-        return rank << self.local_qubits
-
 
 def memory_bytes(n_qubits: int, mode: PrecisionMode) -> int:
     """State-vector bytes for an N-qubit register in the given storage mode."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    shift = {PrecisionMode.FP64: 4, PrecisionMode.FP32: 3, PrecisionMode.BYTE: 1}[mode]
-    return 1 << (n_qubits + shift)
+    return mode.bytes_per_element << n_qubits
+
+
+def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
+    """Most memory a run on ``layout`` is built to hold at once, in bytes.
+
+    Storage, the payloads an exchange queues before its first member computes
+    (1 - 2**-k of the state, k <= 2), and complex128 copies of one rank's
+    slice: 4 for a kernel's working set, or in byte mode one per rank, held
+    until the codebook barrier, and 12 for the codec's encode (traced 10.8).
+    """
+    storage = memory_bytes(layout.total_qubits, mode)
+    queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))
+    copies = layout.rank_count + 12 if mode is PrecisionMode.BYTE else 4
+    return storage + queued + copies * layout.local_size * 16
 
 
 @dataclass(frozen=True)

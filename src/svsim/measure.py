@@ -4,12 +4,13 @@ For each qubit the report gives the probability of the -1 eigenvalue along
 x, y and z, i.e. (1 - <sigma>) / 2.  With this convention a qubit in |1>
 reads (0.50, 0.50, 1.00) and a qubit in |+> reads (0.00, 0.50, 0.50).
 
-Measurement only reads the state.  A qubit below the local width is summed
-rank-locally.  A qubit at or above it is one round of the group exchange of
-``exchange`` between partner ranks: each rank sends its partner the stored
-half the partner owns, so the send charges the bytes it carries, and sums
-the pair products over its own half.  Scalar reductions ride the collective
-channel and cost no counted bytes.
+Measurement only reads the state, one rank at a time: each rank's decoded
+copy gives its norm and every local qubit's sums before the next rank is
+decoded.  A qubit at or above the local width is one round of the group
+exchange of ``exchange`` between partner ranks: each rank sends its partner
+the stored half the partner owns and sums the pair products over its own
+half.  Scalar reductions ride the collective channel and cost no counted
+bytes.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ import numpy as np
 
 from .codec import Codebook
 from .exchange import group_exchange
-from .layout import PartitionLayout, TrafficLedger
-from .state import LocalState, PrecisionMode
+from .kernels import bit_view
+from .layout import PartitionLayout
+from .state import LocalState
 from .transport import Transport
 
 
@@ -50,44 +52,40 @@ class ExpectationReport:
             max(abs(a - b) for a, b in zip(self.qz, other.qz)))
 
 
-def _pair_sums_local(working: np.ndarray, q: int) -> tuple[float, complex]:
-    """(one-weight, cross-product sum) over local pairs split by bit q."""
-    view = working.reshape(-1, 2, 1 << q)
-    ones = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-    cross = complex(np.sum(view[:, 0, :].conj() * view[:, 1, :]))
-    return ones, cross
+def _local_sums(working: np.ndarray, n_local: int):
+    """Norm, one-weights and cross-product sums per local qubit of one slice."""
+    pairs = [(bit_view(working, (q,), (0,)), bit_view(working, (q,))) for q in range(n_local)]
+    return (float(np.real(np.vdot(working, working))),
+            [float(np.sum(np.abs(a1) ** 2)) for _, a1 in pairs],
+            [complex(np.sum(a0.conj() * a1)) for a0, a1 in pairs])
 
 
 def measure_all(states: list[LocalState], layout: PartitionLayout,
-                transport: Transport, ledgers: list[TrafficLedger],
-                codebook: Codebook | None = None,
+                transport: Transport, codebook: Codebook | None = None,
                 rank_order: list[int] | None = None) -> ExpectationReport:
-    n_local = layout.local_qubits
+    n_local, n_qubits = layout.local_qubits, layout.total_qubits
     n_ranks = layout.rank_count
     order = list(rank_order) if rank_order is not None else list(range(n_ranks))
 
-    workings = [None] * n_ranks
+    norms = [0.0] * n_ranks
+    ones = [[0.0] * n_qubits for _ in range(n_ranks)]
+    cross = [[0j] * n_qubits for _ in range(n_ranks)]
     for rank in order:
-        workings[rank] = states[rank].working(codebook)
-    local_norms = [float(np.real(np.vdot(w, w))) for w in workings]
-    total_norm = sum(transport.collective(local_norms))
+        norms[rank], ones[rank][:n_local], cross[rank][:n_local] = _local_sums(
+            states[rank].working(codebook), n_local)
+    total_norm = sum(transport.collective(norms))
+    for q in range(n_local, n_qubits):
+        bit = q - n_local
+        for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,),
+                                                   order, codebook):
+            cross[rank][q] = complex(np.sum(a0.conj() * a1))
+            if (rank >> bit) & 1:
+                ones[rank][q] = norms[rank]
 
     qx, qy, qz = [], [], []
-    for q in range(layout.total_qubits):
-        ones = [0.0] * n_ranks
-        cross = [0j] * n_ranks
-        if q < n_local:
-            for rank in order:
-                ones[rank], cross[rank] = _pair_sums_local(workings[rank], q)
-        else:
-            bit = q - n_local
-            for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,),
-                                                       order, codebook):
-                cross[rank] = complex(np.sum(a0.conj() * a1))
-                if (rank >> bit) & 1:
-                    ones[rank] = local_norms[rank]
-        s = sum(transport.collective(cross))
-        z = sum(transport.collective(ones))
+    for q in range(n_qubits):
+        s = sum(transport.collective([c[q] for c in cross]))
+        z = sum(transport.collective([o[q] for o in ones]))
         qx.append((1.0 - 2.0 * s.real) / 2.0)
         qy.append((1.0 - 2.0 * s.imag) / 2.0)
         qz.append(z)

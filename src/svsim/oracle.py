@@ -36,9 +36,6 @@ class DenseState:
         out = np.tensordot(op, tens, axes=(list(range(k, 2 * k)), axes_in))
         self.psi = np.moveaxis(out, list(range(k)), axes_in).reshape(-1)
 
-    def norm_squared(self) -> float:
-        return float(np.real(np.vdot(self.psi, self.psi)))
-
 
 def dense_expectations(psi: np.ndarray, n_qubits: int) -> ExpectationReport:
     idx = np.arange(1 << n_qubits)

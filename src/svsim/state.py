@@ -15,6 +15,7 @@ import enum
 import numpy as np
 
 from .codec import Codebook
+from .kernels import bit_view
 
 
 class PrecisionMode(enum.Enum):
@@ -63,40 +64,40 @@ class LocalState:
         return state
 
     @property
-    def size(self) -> int:
-        return 1 << self.n_local
-
-    @property
     def storage_nbytes(self) -> int:
-        return self.size * self.mode.bytes_per_element
+        return self.mode.bytes_per_element << self.n_local
 
-    def working(self, codebook: Codebook | None = None, where=slice(None)) -> np.ndarray:
-        """Decoded complex128 copy of the slice, or of its ``where`` positions."""
-        if self.mode is PrecisionMode.BYTE:
-            return codebook.decode(self.mag_idx[where], self.phase_idx[where])
-        return self.psi[where].astype(np.complex128)
+    def _views(self, where) -> tuple:
+        """Views of the arrays kept at rest, at ``where``."""
+        arrays = ((self.mag_idx, self.phase_idx) if self.mode is PrecisionMode.BYTE
+                  else (self.psi,))
+        return tuple(bit_view(array, *where) for array in arrays)
 
-    def payload(self, where):
-        """Copy of the stored form at ``where``: what an exchange sends."""
+    def working(self, codebook: Codebook | None = None, where=()) -> np.ndarray:
+        """Decoded complex128 copy of the slice, or of its ``where`` part."""
+        views = self._views(where)
         if self.mode is PrecisionMode.BYTE:
-            return self.mag_idx[where].copy(), self.phase_idx[where].copy()
-        return self.psi[where].copy()
+            return codebook.decode(*views).reshape(-1)
+        return views[0].astype(np.complex128).reshape(-1)
+
+    def payload(self, where) -> tuple:
+        """Copy of the stored arrays at ``where``: what an exchange sends."""
+        return tuple(view.flatten() for view in self._views(where))
 
     def values(self, payload, codebook: Codebook | None = None) -> np.ndarray:
-        """Amplitudes a payload carries; fp payloads are returned as they are."""
+        """Amplitudes a payload carries; an fp payload's array is returned as it is."""
         if self.mode is PrecisionMode.BYTE:
             return codebook.decode(*payload)
-        return payload
+        return payload[0]
 
     def store(self, values: np.ndarray, codebook: Codebook | None = None,
-              where=slice(None)) -> None:
+              where=()) -> None:
         """Write back computed values, re-encoding as the mode requires.
 
-        ``where`` restricts the write to a slice or an index array; in BYTE
-        mode untouched positions keep their existing bytes.  BYTE writes
-        must happen after the codebook barrier for the producing gate.
+        ``where`` is a ``(bits, values)`` pair as ``kernels.bit_view`` takes
+        it, and ``()`` names the whole slice; in BYTE mode untouched positions
+        keep their bytes.  BYTE writes follow the gate's codebook barrier.
         """
-        if self.mode is PrecisionMode.BYTE:
-            self.mag_idx[where], self.phase_idx[where] = codebook.encode(values)
-        else:
-            self.psi[where] = values
+        parts = codebook.encode(values) if self.mode is PrecisionMode.BYTE else (values,)
+        for view, part in zip(self._views(where), parts):
+            view[...] = part.reshape(view.shape)

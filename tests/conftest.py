@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from svsim import Circuit, gates as g
 from svsim.transport import Transport
+
+# property tests draw the same examples on every run and stay within tier-1 time
+settings.register_profile("svsim", derandomize=True, database=None, deadline=None,
+                          max_examples=25)
+settings.load_profile("svsim")
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,9 +1,14 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsim import (Circuit, PrecisionMode, build_benchmark, gates as g,
                    oracle_run, run_circuit)
-from svsim.layout import TrafficLedger
+from svsim.cli import main
+from svsim.layout import TrafficLedger, memory_bytes, partition, peak_bytes
 from svsim.state import LocalState
 from svsim.tier import TierConfig
 from svsim.transport import Transport, TransportError
@@ -262,3 +267,55 @@ def test_planning_errors_raise_before_any_state_exists(monkeypatch, case):
         match = "the machine has"
     with pytest.raises(ValueError, match=match):
         run_circuit(circuit, **kwargs)
+
+
+def test_memory_check_counts_the_run_peak_not_only_storage(monkeypatch, capsys):
+    def no_state(*args, **kwargs):
+        raise AssertionError("a LocalState was allocated")
+
+    # 12 qubits store 8 KiB in byte mode, but a run also holds their
+    # complex128 values and the codec's working set; the machine has 16 KiB
+    machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4}
+    monkeypatch.setattr(os, "sysconf", machine.__getitem__)
+    monkeypatch.setattr(LocalState, "zero_state", classmethod(no_state))
+    mode = PrecisionMode.BYTE
+    assert memory_bytes(12, mode) < 16384 < peak_bytes(partition(12, 1), mode)
+    with pytest.raises(ValueError, match="the machine has 16384 B"):
+        run_circuit(build_benchmark(12), mode=mode)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--builder", "benchmark:12", "--mode", "be"])
+    assert exit_info.value.code == 2
+    assert "the machine has 16384 B" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_traced_peak_stays_under_the_planned_bound(rng, mode):
+    circuit = random_circuit(rng, 16, 12)
+    tracemalloc.start()
+    try:
+        run_circuit(circuit, ranks=4, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_bytes(partition(16, 4), mode)
+
+
+@given(seed=st.integers(0, 2**32 - 1), ranks=st.sampled_from([1, 2, 4, 8]),
+       mode=st.sampled_from([PrecisionMode.FP64, PrecisionMode.FP32]),
+       tiered=st.booleans())
+def test_engine_matches_the_oracle(seed, ranks, mode, tiered):
+    rng = np.random.default_rng(seed)
+    n = 6
+    # two-qubit gates on the top local bit, paired with the bit below and the top qubit
+    top = n - ranks.bit_length()
+    gates = list(random_circuit(rng, n, 10, measured=False).gates)
+    for partner in {top - 1, n - 1} - {top}:
+        gates += [g.u4(top, partner, haar_unitary(rng, 4)), g.cnot(partner, top)]
+    circuit = Circuit(n, tuple(gates) + (g.measure_all(),))
+    tier = TierConfig(8 * 4 * mode.bytes_per_element, 4 * mode.bytes_per_element)
+    result = run_circuit(circuit, ranks=ranks, mode=mode,
+                         tier_config=tier if tiered else None, rank_order_seed=seed)
+    dense, expected = oracle_run(circuit)
+    tolerance = 1e-5 if mode is PrecisionMode.FP32 else 1e-12
+    assert np.max(np.abs(result.gathered_state() - dense.psi)) < tolerance
+    assert result.report.max_difference(expected) < tolerance

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsim import gates as g
 from svsim import kernels
@@ -174,3 +175,48 @@ def test_single_qubit_out_of_range_is_index_error():
     psi = np.zeros(8, dtype=np.complex128)
     with pytest.raises(IndexError):
         kernels.apply_single(psi, 3, g.H_MATRIX)
+
+
+@given(st.data())
+def test_bit_view_reads_and_writes_exactly_the_fixed_bit_indices(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    bits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="bits")
+    values = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=len(bits),
+                                            max_size=len(bits)), label="values")
+    step = data.draw(st.integers(1, 3), label="step")
+    fixed = list(zip(bits, values if values is not None else [1] * len(bits)))
+    index = [i for i in range(1 << n) if all((i >> b) & 1 == v for b, v in fixed)]
+    # a strided 1-D input: the view must still write into the caller's buffer
+    base = np.zeros(step << n, dtype=np.complex128)
+    a = base[::step]
+    a[:] = np.arange(1 << n) + 0.5j
+    view = kernels.bit_view(a, tuple(bits), values)
+    assert np.array_equal(view.ravel(), a[index])
+    expected = a.copy()
+    expected[index] = -1 - np.arange(len(index))
+    view[...] = (-1 - np.arange(len(index))).reshape(view.shape)
+    assert np.array_equal(a, expected)
+    assert not base.reshape(-1, step)[:, 1:].any()
+
+
+def test_bit_view_rejects_bits_outside_the_array_and_non_1d_arrays():
+    psi = np.zeros(8, dtype=np.complex128)
+    for bits in ((3,), (0, 3), (-1,), (1, 1)):
+        with pytest.raises(IndexError):
+            kernels.bit_view(psi, bits)
+    with pytest.raises(ValueError):
+        kernels.bit_view(psi.reshape(2, 4), (0,))
+    # a diagonal on a bit past the slice is the caller's error, not a no-op
+    with pytest.raises(IndexError):
+        kernels.apply_diagonal(psi, (0, 3), -1.0)
+
+
+def test_fp32_diagonal_is_the_double_result_rounded_once(rng):
+    psi32 = random_state(rng, 6).astype(np.complex64)
+    factor = np.exp(0.3j)
+    for bits in ((), (2,), (4, 1)):
+        ref = psi32.astype(np.complex128)
+        out = psi32.copy()
+        kernels.apply_diagonal(ref, bits, factor)
+        kernels.apply_diagonal(out, bits, factor)
+        assert np.array_equal(out, ref.astype(np.complex64))

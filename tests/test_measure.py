@@ -77,8 +77,7 @@ def test_unnormalized_state_is_flagged_not_fatal():
     state = LocalState.zero_state(3, PrecisionMode.FP64, True)
     state.psi *= 2.0
     ledgers = [TrafficLedger()]
-    report = measure_all([state], PartitionLayout(3, 3), Transport(1, ledgers),
-                         ledgers)
+    report = measure_all([state], PartitionLayout(3, 3), Transport(1, ledgers))
     assert abs(report.norm_deviation - 3.0) < 1e-12
 
 
