@@ -7,8 +7,8 @@ Examples:
     svsim --circuit program.qc --ranks 2 --fast-bytes 65536 --chunk-bytes 4096
 
 Exit status 0 on success, 1 on circuit parse errors, 2 on usage problems
-(bad flags, unreadable files, an inconsistent layout or tier setting, or a
-state larger than the machine's memory).
+(bad flags, unreadable or unwritable files, an inconsistent layout or tier
+setting, or a state larger than the machine's memory).
 """
 from __future__ import annotations
 
@@ -104,8 +104,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = build_report(result).render(args.report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
     else:
         sys.stdout.write(rendered)
     return 0

@@ -12,6 +12,13 @@ partitions' proposals, de-duplicated, sorted ascending, and appended; once a
 table reaches 256 entries further values are quantised to the nearest
 existing entry and the table's overflow flag is set.
 
+Every lookup reads one cached sorted view per table: the ascending entries
+and their table indices.  The phase view ends with a 2pi sentinel that maps
+to index 0; entry 0 is pinned at phase 0, so the sentinel is every phase's
+neighbour across the branch cut and plain distances suffice.  A query's two
+neighbours in the view answer both "is it representable?" and "which entry
+is nearest?", and the view's gaps give the quantisation bound.
+
 Phase entries also carry the exact unit vector of the amplitude that first
 proposed the phase.  Decoding multiplies the table magnitude by that unit
 vector, so a value whose polar parts are table entries decodes back
@@ -42,10 +49,8 @@ def canonicalize(values: np.ndarray):
     theta = np.mod(np.angle(v), TWO_PI)
     theta[TWO_PI - theta < PHASE_ATOL] = 0.0
     nz = r > 0.0
-    ux = np.ones_like(r)
-    uy = np.zeros_like(r)
-    ux[nz] = v.real[nz] / r[nz]
-    uy[nz] = v.imag[nz] / r[nz]
+    ux = np.divide(v.real, r, out=np.ones_like(r), where=nz)
+    uy = np.divide(v.imag, r, out=np.zeros_like(r), where=nz)
     theta[~nz] = 0.0
     # normalise -0.0 so identical phases are bitwise identical
     ux += 0.0
@@ -53,22 +58,11 @@ def canonicalize(values: np.ndarray):
     return r, theta, ux, uy
 
 
-def _nearest(sorted_vals: np.ndarray, orig_idx: np.ndarray, queries: np.ndarray,
-             circular: bool) -> np.ndarray:
-    """Index of the nearest table entry per query, ties to the smaller index."""
+def _neighbours(sorted_vals: np.ndarray, queries: np.ndarray):
+    """Positions in ``sorted_vals`` just below and just above each query."""
     pos = np.searchsorted(sorted_vals, queries)
     last = len(sorted_vals) - 1
-    cand = [np.clip(pos - 1, 0, last), np.clip(pos, 0, last)]
-    if circular and last > 0:
-        cand.append(np.full_like(pos, 0))
-        cand.append(np.full_like(pos, last))
-    cand = np.stack(cand)
-    dist = np.abs(sorted_vals[cand] - queries[None, :])
-    if circular:
-        dist = np.minimum(dist, TWO_PI - dist)
-    best = dist.min(axis=0)
-    idx = np.where(dist == best, orig_idx[cand], CAPACITY + 1)
-    return idx.min(axis=0).astype(np.uint8)
+    return np.clip(pos - 1, 0, last), np.clip(pos, 0, last)
 
 
 def _dedup_sorted(values: np.ndarray, is_mag: bool) -> np.ndarray:
@@ -101,38 +95,46 @@ class Proposal:
 class Codebook:
     mags: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
     thetas: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    ux: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    uy: np.ndarray = field(default_factory=lambda: np.array([0.0]))
+    units: np.ndarray = field(default_factory=lambda: np.array([1.0 + 0.0j]))
     mag_overflow: bool = False
     phase_overflow: bool = False
 
     def __post_init__(self):
-        self._sorted_cache = {}
+        self._views = {}
 
     def _sorted(self, which: str):
+        """Ascending entries of a table and their table indices, cached.
+
+        The phase view ends with a 2pi sentinel at index 0.
+        """
         table = self.mags if which == "mag" else self.thetas
-        key = (which, len(table))
-        hit = self._sorted_cache.get(key)
-        if hit is None:
-            order = np.argsort(table, kind="stable").astype(np.int64)
-            hit = (table[order], order)
-            self._sorted_cache = {key: hit}
-        return hit
+        if self._views.get(which, (None,))[0] is not table:
+            order = np.argsort(table, kind="stable").astype(np.uint8)
+            entries = table[order]
+            if which == "phase":
+                entries, order = np.append(entries, TWO_PI), np.append(order, np.uint8(0))
+            self._views[which] = (table, entries, order)
+        return self._views[which][1:]
 
     def _representable_mask(self, values: np.ndarray, which: str) -> np.ndarray:
-        sorted_vals, order = self._sorted(which)
-        pos = np.searchsorted(sorted_vals, values)
-        last = len(sorted_vals) - 1
+        entries, _ = self._sorted(which)
         mask = np.zeros(len(values), dtype=bool)
-        for cand in (np.clip(pos - 1, 0, last), np.clip(pos, 0, last)):
-            d = np.abs(sorted_vals[cand] - values)
-            if which == "mag":
-                tol = MAG_RTOL * np.maximum(np.abs(values), np.abs(sorted_vals[cand]))
-            else:
-                d = np.minimum(d, TWO_PI - d)
-                tol = PHASE_ATOL
-            mask |= d <= tol
+        for pos in _neighbours(entries, values):
+            near = entries[pos]
+            tol = (MAG_RTOL * np.maximum(np.abs(values), np.abs(near)) if which == "mag"
+                   else PHASE_ATOL)
+            mask |= np.abs(near - values) <= tol
         return mask
+
+    def _nearest(self, queries: np.ndarray, which: str) -> np.ndarray:
+        """Table index of the entry nearest each query, ties to the smaller index."""
+        entries, order = self._sorted(which)
+        below, above = _neighbours(entries, queries)
+        d_below = np.abs(entries[below] - queries)
+        d_above = np.abs(entries[above] - queries)
+        below, above = order[below], order[above]
+        return np.where((d_below < d_above) | ((d_below == d_above) & (below < above)),
+                        below, above)
 
     def _fresh_mags(self, mags: np.ndarray) -> np.ndarray:
         """Distinct magnitudes, ascending, that no entry already represents."""
@@ -167,40 +169,32 @@ class Codebook:
         Same input set implies the same resulting tables, independent of the
         number of partitions or their visiting order.
         """
-        if proposals:
-            mags = self._fresh_mags(np.concatenate([p.mags for p in proposals]))
-            room = CAPACITY - len(self.mags)
-            if len(mags) > room:
-                mags = mags[:max(room, 0)]
-                self.mag_overflow = True
-            if len(mags):
-                self.mags = np.concatenate([self.mags, mags])
-
-            thetas, ux, uy = self._fresh_phases(np.concatenate([p.thetas for p in proposals]),
-                                                np.concatenate([p.ux for p in proposals]),
-                                                np.concatenate([p.uy for p in proposals]))
-            room = CAPACITY - len(self.thetas)
-            if len(thetas) > room:
-                thetas, ux, uy = thetas[:max(room, 0)], ux[:max(room, 0)], uy[:max(room, 0)]
-                self.phase_overflow = True
-            if len(thetas):
-                self.thetas = np.concatenate([self.thetas, thetas])
-                self.ux = np.concatenate([self.ux, ux])
-                self.uy = np.concatenate([self.uy, uy])
+        if not proposals:
+            return
+        mags = self._fresh_mags(np.concatenate([p.mags for p in proposals]))
+        thetas, ux, uy = self._fresh_phases(
+            *(np.concatenate([getattr(p, part) for p in proposals])
+              for part in ("thetas", "ux", "uy")))
+        room = CAPACITY - len(self.mags)
+        self.mag_overflow |= len(mags) > room
+        self.mags = np.concatenate([self.mags, mags[:room]])
+        room = CAPACITY - len(self.thetas)
+        self.phase_overflow |= len(thetas) > room
+        self.thetas = np.concatenate([self.thetas, thetas[:room]])
+        self.units = np.concatenate([self.units, ux[:room] + 1j * uy[:room]])
 
     def encode(self, values: np.ndarray):
         """Nearest-entry indices for each value; exact when parts are entries."""
-        r, theta, _, _ = canonicalize(values)
-        mag_sorted, mag_order = self._sorted("mag")
-        phase_sorted, phase_order = self._sorted("phase")
-        mag_idx = _nearest(mag_sorted, mag_order, r, circular=False)
-        phase_idx = _nearest(phase_sorted, phase_order, theta, circular=True)
+        r, theta = canonicalize(values)[:2]
+        mag_idx = self._nearest(r, "mag")
+        phase_idx = self._nearest(theta, "phase")
         phase_idx[mag_idx == 0] = 0
         return mag_idx, phase_idx
 
     def decode(self, mag_idx: np.ndarray, phase_idx: np.ndarray) -> np.ndarray:
-        out = self.mags[mag_idx] * (self.ux[phase_idx] + 1j * self.uy[phase_idx])
-        out[mag_idx == 0] = 0.0
+        # encode pairs magnitude 0 with phase 0, whose unit is 1, so 0 decodes to +0j
+        out = self.units[phase_idx]
+        out *= self.mags[mag_idx]
         return out
 
     @property
@@ -208,17 +202,12 @@ class Codebook:
         return self.mag_overflow or self.phase_overflow
 
     def resolution(self) -> tuple[float, float]:
-        """Worst-case quantisation error bound per table (half the max gap)."""
-        mag_sorted, _ = self._sorted("mag")
-        mag_gap = float(np.diff(mag_sorted).max()) if len(mag_sorted) > 1 else 0.0
-        phase_sorted, _ = self._sorted("phase")
-        if len(phase_sorted) > 1:
-            gaps = np.diff(phase_sorted)
-            wrap = TWO_PI - phase_sorted[-1] + phase_sorted[0]
-            phase_gap = float(max(gaps.max(), wrap))
-        else:
-            phase_gap = TWO_PI
-        return mag_gap / 2.0, phase_gap / 2.0
+        """Worst-case quantisation error bound per table (half the max gap).
+
+        The phase view's 2pi sentinel makes its last gap the wrap-around one.
+        """
+        return tuple(float(np.diff(self._sorted(which)[0]).max()) / 2.0
+                     for which in ("mag", "phase"))
 
     def dump(self) -> str:
         """Diagnostic text form: one hex-float entry per line."""

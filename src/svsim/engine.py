@@ -84,7 +84,7 @@ class RunResult:
 
     def gathered_state(self) -> np.ndarray:
         """Global state vector assembled from the rank slices."""
-        return np.concatenate([s.working(self.codebook) for s in self.states])
+        return np.concatenate([s.working() for s in self.states])
 
     def report_in_program_labels(self) -> ExpectationReport | None:
         if self.report is None:
@@ -134,7 +134,7 @@ class _Engine:
         self.transport = transport_factory(n, self.ledgers)
         self.codebook = Codebook() if mode is PrecisionMode.BYTE else None
         self.states = [
-            LocalState.zero_state(layout.local_qubits, mode, with_unit_amplitude=(r == 0))
+            LocalState.zero_state(layout.local_qubits, mode, r == 0, self.codebook)
             for r in range(n)
         ]
         self.rank_order = list(range(n))
@@ -154,7 +154,7 @@ class _Engine:
         try:
             if gate.kind == "M":
                 self.report = measure_all(self.states, self.layout, self.transport,
-                                          self.codebook, self.rank_order)
+                                          self.rank_order)
             elif plan.kind == "none":
                 self._apply_local(gate)
             else:
@@ -181,7 +181,7 @@ class _Engine:
             if rank & rank_bits != rank_bits:
                 continue
             state = self.states[rank]
-            psi = state.working(self.codebook, where) if decoded else state.psi
+            psi = state.working(where) if decoded else state.psi
             for start in range(0, psi.size, block):
                 _apply_gate(psi[start:start + block], gate, qubits)
             if decoded:
@@ -191,8 +191,7 @@ class _Engine:
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
         qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
         for rank, members, own, stacked in group_exchange(
-                self.states, self.transport, plan.masks, self.rank_order,
-                self.codebook, gate.qubits):
+                self.states, self.transport, plan.masks, self.rank_order, gate.qubits):
             _apply_gate(stacked.reshape(-1), gate, qubits)
             self._write(rank, stacked, [(m, own, stacked[p]) for p, m in enumerate(members)])
         self._commit()
@@ -203,7 +202,7 @@ class _Engine:
         """Store what ``rank`` computed: fp at once, byte after ``_commit``."""
         if self.codebook is None:
             for owner, where, values in writes:
-                self.states[owner].store(values, None, where)
+                self.states[owner].store(values, where)
             return
         self._proposals[rank] = self.codebook.propose(produced)
         self._pending += writes
@@ -217,7 +216,7 @@ class _Engine:
                      for rank in range(self.layout.rank_count)]
         self.codebook.merge(self.transport.collective(proposals))
         for owner, where, values in self._pending:
-            self.states[owner].store(values, self.codebook, where)
+            self.states[owner].store(values, where)
         self._proposals, self._pending = {}, []
 
 

@@ -12,7 +12,8 @@ byte mode), so each message charges exactly the bytes it carries.  Each
 member then stacks the 2**k aligned components of its own part, component c
 from the member at position c, into one complex128 buffer in which high
 qubit j is bit n_local - k + j.  Ranks are yielded one at a time, so a
-caller that stores as it goes holds one rank's buffer at once.
+caller that stores as it goes holds one rank's buffer at once.  Byte-mode
+states decode with the codebook they hold, so the exchange takes none.
 """
 from __future__ import annotations
 
@@ -38,8 +39,7 @@ def stacked_qubits(qubits, n_local: int, masks: tuple[int, ...]) -> tuple[int, .
                  else q if q < low else q - k for q in qubits)
 
 
-def group_exchange(states, transport, masks: tuple[int, ...], rank_order,
-                   codebook=None, qubits=()):
+def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits=()):
     """Yield (rank, members, own part, stacked components) per visited rank.
 
     ``qubits`` are the operation's qubits; local ones are kept out of the
@@ -62,6 +62,6 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order,
         own = parts[members.index(rank)]
         stacked = np.empty((1 << k, size), dtype=np.complex128)
         for p, member in enumerate(members):
-            stacked[p] = (states[rank].working(codebook, own) if member == rank else
-                          states[rank].values(transport.recv(rank, member), codebook))
+            stacked[p] = (states[rank].working(own) if member == rank else
+                          states[rank].values(transport.recv(rank, member)))
         yield rank, members, own, stacked

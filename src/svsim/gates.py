@@ -159,6 +159,10 @@ def validate_gate(gate: Gate, n_qubits: int) -> None:
             raise ValueError(f"{gate.kind} requires a {dim}x{dim} matrix")
         if not np.all(np.isfinite(gate.matrix)):
             raise ValueError(f"{gate.kind} matrix has non-finite entries")
+        # no unitary has an entry above modulus 1; bounded entries also keep
+        # the residual from overflowing to NaN, which no comparison rejects
+        if np.max(np.abs(gate.matrix)) > 1 + 1e-12:
+            raise ValueError(f"{gate.kind} matrix is not unitary (an entry exceeds modulus 1)")
         residual = unitarity_residual(gate.matrix)
-        if residual >= 1e-12:
+        if not residual < 1e-12:
             raise ValueError(f"{gate.kind} matrix is not unitary (residual {residual:.2e})")

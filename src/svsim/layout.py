@@ -58,11 +58,13 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     Storage, the payloads an exchange queues before its first member computes
     (1 - 2**-k of the state, k <= 2), and complex128 copies of one rank's
     slice: 4 for a kernel's working set, or in byte mode one per rank, held
-    until the codebook barrier, and 12 for the codec's encode (traced 10.8).
+    until the codebook barrier, and 8 for the codec.  Traced on 2**18 values
+    against full tables, its transients peak at 7.1 copies in ``propose``,
+    3.6 in ``encode``, 2.1 in ``canonicalize`` and 1.5 in ``decode``.
     """
     storage = memory_bytes(layout.total_qubits, mode)
     queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))
-    copies = layout.rank_count + 12 if mode is PrecisionMode.BYTE else 4
+    copies = layout.rank_count + 8 if mode is PrecisionMode.BYTE else 4
     return storage + queued + copies * layout.local_size * 16
 
 

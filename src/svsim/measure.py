@@ -10,7 +10,8 @@ decoded.  A qubit at or above the local width is one round of the group
 exchange of ``exchange`` between partner ranks: each rank sends its partner
 the stored half the partner owns and sums the pair products over its own
 half.  Scalar reductions ride the collective channel and cost no counted
-bytes.
+bytes.  Byte-mode states decode with the codebook they hold, so measurement
+takes none.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Codebook
 from .exchange import group_exchange
 from .kernels import bit_view
 from .layout import PartitionLayout
@@ -60,8 +60,7 @@ def _local_sums(working: np.ndarray, n_local: int):
             [complex(np.sum(a0.conj() * a1)) for a0, a1 in pairs])
 
 
-def measure_all(states: list[LocalState], layout: PartitionLayout,
-                transport: Transport, codebook: Codebook | None = None,
+def measure_all(states: list[LocalState], layout: PartitionLayout, transport: Transport,
                 rank_order: list[int] | None = None) -> ExpectationReport:
     n_local, n_qubits = layout.local_qubits, layout.total_qubits
     n_ranks = layout.rank_count
@@ -72,12 +71,11 @@ def measure_all(states: list[LocalState], layout: PartitionLayout,
     cross = [[0j] * n_qubits for _ in range(n_ranks)]
     for rank in order:
         norms[rank], ones[rank][:n_local], cross[rank][:n_local] = _local_sums(
-            states[rank].working(codebook), n_local)
+            states[rank].working(), n_local)
     total_norm = sum(transport.collective(norms))
     for q in range(n_local, n_qubits):
         bit = q - n_local
-        for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,),
-                                                   order, codebook):
+        for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,), order):
             cross[rank][q] = complex(np.sum(a0.conj() * a1))
             if (rank >> bit) & 1:
                 ones[rank][q] = norms[rank]

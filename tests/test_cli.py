@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -22,6 +23,29 @@ def test_non_finite_matrix_is_a_parse_error(tmp_path, capsys):
     code, report = _run(tmp_path, "nan", text)
     assert code == 1 and report is None
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_overflowing_matrix_is_a_parse_error_without_warnings(tmp_path, capsys):
+    # the unitarity residual of this matrix overflows to NaN
+    text = "qubits 1\nH 0\nU2 0  0 0  0 0  0 0  1e300 1e300\nM\n"
+    with pytest.raises(ParseError, match="line 3.*not unitary"):
+        parse_circuit(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = _run(tmp_path, "overflow", text)
+    assert code == 1 and report is None
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("svsim: ")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--builder", "benchmark:8", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"svsim: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("line", ["PHASE 0 2000", "CPHASE 0 1 -2000"])

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsim import PrecisionMode, build_benchmark, oracle_run, run_circuit
-from svsim.codec import CAPACITY, Codebook, canonicalize
+from svsim.codec import CAPACITY, TWO_PI, Codebook, canonicalize
 from svsim.state import LocalState
 
 from conftest import exact_class_circuit
@@ -154,3 +155,65 @@ def test_generic_circuit_sets_overflow_flag(rng):
     cb = Codebook()
     cb.merge([cb.propose(values)])
     assert cb.mag_overflow and cb.phase_overflow
+
+
+def _amplitudes(seed: int, n: int) -> np.ndarray:
+    """Grid values that repeat exactly, mixed with free values far apart."""
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 5, n) / 4 * np.exp(1j * np.pi * rng.integers(0, 8, n) / 4)
+    free = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, TWO_PI, n))
+    return np.where(rng.random(n) < 0.5, grid, free)
+
+
+def _filled(seed: int, n: int) -> Codebook:
+    cb = Codebook()
+    cb.merge([cb.propose(_amplitudes(seed, n))])
+    return cb
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(seed=SEEDS, n=st.integers(0, 600), primed=st.booleans(),
+       cuts=st.lists(st.floats(0, 1), max_size=3), order=st.permutations(range(4)))
+def test_merge_ignores_proposal_order_and_split(seed, n, primed, cuts, order):
+    values = _amplitudes(seed, n)
+    parts = np.split(values, sorted(int(c * n) for c in cuts))
+    whole, split = Codebook(), Codebook()
+    if primed:
+        for cb in (whole, split):
+            cb.merge([cb.propose(_amplitudes(seed + 1, 100))])
+    whole.merge([whole.propose(values)])
+    proposals = [split.propose(part) for part in parts]
+    split.merge([proposals[i] for i in order if i < len(proposals)])
+    assert split.dump() == whole.dump()
+    assert split.units.tobytes() == whole.units.tobytes()
+    assert (split.mag_overflow, split.phase_overflow) == (whole.mag_overflow,
+                                                          whole.phase_overflow)
+
+
+@given(seed=SEEDS, n=st.integers(0, 600))
+def test_encode_is_the_brute_force_nearest_entry(seed, n):
+    cb = _filled(seed, n)
+    mags, thetas = np.sort(cb.mags), np.sort(cb.thetas)
+    eps = 10.0 ** np.random.default_rng(seed).uniform(-16, -8, 32)
+    q_mag = np.concatenate([mags, (mags[:-1] + mags[1:]) / 2, eps])
+    q_theta = np.concatenate([thetas, (thetas[:-1] + thetas[1:]) / 2,
+                              [(thetas[-1] + TWO_PI) / 2], eps, TWO_PI - eps])
+    values = np.concatenate([q_mag + 0j, np.exp(1j * q_theta)])
+    r, theta, _, _ = canonicalize(values)
+    # argmin takes the first of equal distances: ties go to the smaller index
+    want_mag = np.argmin(np.abs(cb.mags[None, :] - r[:, None]), axis=1)
+    d = np.abs(cb.thetas[None, :] - theta[:, None])
+    want_phase = np.argmin(np.minimum(d, TWO_PI - d), axis=1)
+    want_phase[want_mag == 0] = 0
+    mag_idx, phase_idx = cb.encode(values)
+    assert np.array_equal(mag_idx, want_mag) and np.array_equal(phase_idx, want_phase)
+
+
+@given(seed=SEEDS, n=st.integers(0, 600))
+def test_resolution_is_half_the_largest_gap(seed, n):
+    cb = _filled(seed, n)
+    mags, thetas = np.sort(cb.mags), np.sort(cb.thetas)
+    phase_gap = max(np.diff(thetas).max(initial=0.0), TWO_PI - thetas[-1] + thetas[0])
+    assert cb.resolution() == (np.diff(mags).max() / 2, phase_gap / 2)
