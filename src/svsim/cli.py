@@ -13,6 +13,7 @@ setting, or a state larger than the machine's memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .builders import build_adder, build_benchmark
@@ -91,26 +92,38 @@ def main(argv: list[str] | None = None) -> int:
     if (args.fast_bytes is None) != (args.chunk_bytes is None):
         parser.exit(2, "svsim: --fast-bytes and --chunk-bytes go together\n")
 
-    try:
-        tier_config = (None if args.fast_bytes is None else
-                       TierConfig(args.fast_bytes, args.chunk_bytes, args.lookahead))
-        if args.optimize_labels:
-            layout = partition(circuit.n_qubits, args.ranks, args.local_qubits)
-            circuit = relabel(circuit, optimize_labels(circuit, layout))
-        result = run_circuit(circuit, ranks=args.ranks, local_qubits=args.local_qubits,
-                             mode=MODES[args.mode], tier_config=tier_config)
-    except ValueError as exc:
-        parser.exit(2, f"svsim: {exc}\n")
-
-    rendered = build_report(result).render(args.report)
+    # opened before the run, so an unwritable path costs no simulation; "a"
+    # leaves an existing file as it is until the report replaces it
+    out = None
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
-    else:
-        sys.stdout.write(rendered)
+
+    with out or contextlib.nullcontext():
+        try:
+            tier_config = (None if args.fast_bytes is None else
+                           TierConfig(args.fast_bytes, args.chunk_bytes, args.lookahead))
+            if args.optimize_labels:
+                layout = partition(circuit.n_qubits, args.ranks, args.local_qubits)
+                circuit = relabel(circuit, optimize_labels(circuit, layout))
+            result = run_circuit(circuit, ranks=args.ranks, local_qubits=args.local_qubits,
+                                 mode=MODES[args.mode], tier_config=tier_config)
+        except ValueError as exc:
+            parser.exit(2, f"svsim: {exc}\n")
+
+        rendered = build_report(result).render(args.report)
+        if out is None:
+            sys.stdout.write(rendered)
+            return 0
+        try:
+            if out.seekable():
+                out.truncate(0)
+            out.write(rendered)
+            out.flush()
+        except OSError as exc:
+            parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
     return 0
 
 

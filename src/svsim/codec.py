@@ -19,6 +19,12 @@ neighbour across the branch cut and plain distances suffice.  A query's two
 neighbours in the view answer both "is it representable?" and "which entry
 is nearest?", and the view's gaps give the quantisation bound.
 
+The codec's callers canonicalize each produced value once: ``propose``
+takes the four parts ``canonicalize`` returns and ``encode`` takes
+``(r, theta)``.  ``propose`` does no work that cannot change a table: it
+drops representable phases before sorting, visits only tolerance-close
+neighbours one by one, and skips a table that is full and already flagged.
+
 Phase entries also carry the exact unit vector of the amplitude that first
 proposed the phase.  Decoding multiplies the table magnitude by that unit
 vector, so a value whose polar parts are table entries decodes back
@@ -46,39 +52,51 @@ def canonicalize(values: np.ndarray):
     """
     v = np.asarray(values, dtype=np.complex128).ravel()
     r = np.abs(v)
-    theta = np.mod(np.angle(v), TWO_PI)
-    theta[TWO_PI - theta < PHASE_ATOL] = 0.0
-    nz = r > 0.0
-    ux = np.divide(v.real, r, out=np.ones_like(r), where=nz)
-    uy = np.divide(v.imag, r, out=np.zeros_like(r), where=nz)
-    theta[~nz] = 0.0
-    # normalise -0.0 so identical phases are bitwise identical
-    ux += 0.0
+    zero = r == 0.0
+    theta = np.angle(v)
+    # np.mod(theta, 2pi) bit for bit, without its fmod: negative angles move
+    # up by 2pi, and adding 0.0 to the rest turns -0.0 into 0.0
+    theta += np.where(theta < 0.0, TWO_PI, 0.0)
+    theta[(TWO_PI - theta < PHASE_ATOL) | zero] = 0.0
+    scale = np.where(zero, 1.0, r)
+    ux = v.real / scale
+    uy = v.imag / scale
+    # zero gets unit vector (1, 0); adding 0.0 normalises -0.0, so identical
+    # phases are bitwise identical
+    ux += zero
     uy += 0.0
     return r, theta, ux, uy
 
 
 def _neighbours(sorted_vals: np.ndarray, queries: np.ndarray):
     """Positions in ``sorted_vals`` just below and just above each query."""
-    pos = np.searchsorted(sorted_vals, queries)
-    last = len(sorted_vals) - 1
-    return np.clip(pos - 1, 0, last), np.clip(pos, 0, last)
+    above = np.searchsorted(sorted_vals, queries)
+    below = above - 1
+    np.maximum(below, 0, out=below)
+    np.minimum(above, len(sorted_vals) - 1, out=above)
+    return below, above
+
+
+def _close(a: np.ndarray, b: np.ndarray, is_mag: bool) -> np.ndarray:
+    """Whether entries ``a`` and ``b`` are within the matching tolerance."""
+    tol = MAG_RTOL * np.maximum(np.abs(a), np.abs(b)) if is_mag else PHASE_ATOL
+    return np.abs(a - b) <= tol
 
 
 def _dedup_sorted(values: np.ndarray, is_mag: bool) -> np.ndarray:
-    """Boolean keep-mask over ascending values, dropping tolerance-duplicates."""
-    keep = np.zeros(len(values), dtype=bool)
-    last = None
-    for i, v in enumerate(values):
-        if last is not None:
-            if is_mag:
-                close = abs(v - last) <= MAG_RTOL * max(abs(v), abs(last))
-            else:
-                close = abs(v - last) <= PHASE_ATOL
-            if close:
-                continue
-        keep[i] = True
-        last = v
+    """Boolean keep-mask over ascending values, dropping tolerance-duplicates.
+
+    A value is dropped when it is close to the last value kept before it.
+    One that is not close to its neighbour below is farther still from any
+    smaller value (magnitudes are never negative), so it is always kept;
+    only values close to their neighbour below are visited one by one.
+    """
+    keep = np.ones(len(values), dtype=bool)
+    last = 0
+    for i in np.flatnonzero(_close(values[1:], values[:-1], is_mag)) + 1:
+        if keep[i - 1]:
+            last = i - 1
+        keep[i] = not _close(values[i], values[last], is_mag)
     return keep
 
 
@@ -118,13 +136,9 @@ class Codebook:
 
     def _representable_mask(self, values: np.ndarray, which: str) -> np.ndarray:
         entries, _ = self._sorted(which)
-        mask = np.zeros(len(values), dtype=bool)
-        for pos in _neighbours(entries, values):
-            near = entries[pos]
-            tol = (MAG_RTOL * np.maximum(np.abs(values), np.abs(near)) if which == "mag"
-                   else PHASE_ATOL)
-            mask |= np.abs(near - values) <= tol
-        return mask
+        below, above = _neighbours(entries, values)
+        is_mag = which == "mag"
+        return _close(entries[below], values, is_mag) | _close(entries[above], values, is_mag)
 
     def _nearest(self, queries: np.ndarray, which: str) -> np.ndarray:
         """Table index of the entry nearest each query, ties to the smaller index."""
@@ -136,8 +150,17 @@ class Codebook:
         return np.where((d_below < d_above) | ((d_below == d_above) & (below < above)),
                         below, above)
 
+    def _full(self, which: str) -> bool:
+        """Whether a table is full and flagged, so no proposal can change it."""
+        if which == "mag":
+            return self.mag_overflow and len(self.mags) == CAPACITY
+        return self.phase_overflow and len(self.thetas) == CAPACITY
+
     def _fresh_mags(self, mags: np.ndarray) -> np.ndarray:
         """Distinct magnitudes, ascending, that no entry already represents."""
+        if self._full("mag"):
+            return np.empty(0)
+        # unique first: it costs less than the neighbour search it shrinks
         mags = np.unique(mags)
         mags = mags[~self._representable_mask(mags, "mag")]
         return mags[_dedup_sorted(mags, is_mag=True)]
@@ -148,19 +171,26 @@ class Codebook:
         Each keeps the unit vector that sorts first among those sharing its
         phase, so the result does not depend on the order of the input.
         """
+        if self._full("phase"):
+            return np.empty(0), np.empty(0), np.empty(0)
+        # representability depends on the phase alone, so this drops whole
+        # groups of equal phases and spares the three-key sort their rows
+        new = ~self._representable_mask(thetas, "phase")
+        thetas, ux, uy = thetas[new], ux[new], uy[new]
         order = np.lexsort((uy, ux, thetas))
         thetas, ux, uy = thetas[order], ux[order], uy[order]
         first = np.ones(len(thetas), dtype=bool)
         first[1:] = thetas[1:] != thetas[:-1]
         thetas, ux, uy = thetas[first], ux[first], uy[first]
-        new = ~self._representable_mask(thetas, "phase")
-        thetas, ux, uy = thetas[new], ux[new], uy[new]
         keep = _dedup_sorted(thetas, is_mag=False)
         return thetas[keep], ux[keep], uy[keep]
 
-    def propose(self, values: np.ndarray) -> Proposal:
-        """Distinct canonical (r, theta) pairs not already representable."""
-        r, theta, ux, uy = canonicalize(values)
+    def propose(self, r: np.ndarray, theta: np.ndarray, ux: np.ndarray,
+                uy: np.ndarray) -> Proposal:
+        """Distinct canonical (r, theta) pairs not already representable.
+
+        Takes the four parts ``canonicalize`` returns for the produced values.
+        """
         return Proposal(self._fresh_mags(r), *self._fresh_phases(theta, ux, uy))
 
     def merge(self, proposals: list[Proposal]) -> None:
@@ -183,9 +213,8 @@ class Codebook:
         self.thetas = np.concatenate([self.thetas, thetas[:room]])
         self.units = np.concatenate([self.units, ux[:room] + 1j * uy[:room]])
 
-    def encode(self, values: np.ndarray):
-        """Nearest-entry indices for each value; exact when parts are entries."""
-        r, theta = canonicalize(values)[:2]
+    def encode(self, r: np.ndarray, theta: np.ndarray):
+        """Nearest-entry indices for canonical ``(r, theta)``; exact for table entries."""
         mag_idx = self._nearest(r, "mag")
         phase_idx = self._nearest(theta, "phase")
         phase_idx[mag_idx == 0] = 0

@@ -14,7 +14,13 @@ mode's bytes per element, and each send charges exactly what it carries.
 Fp modes store results at once.  In byte-encoded mode every gate ends with
 a codebook barrier: ranks propose the values they produced, the proposals
 are merged identically everywhere, and only then are results encoded back
-into storage.
+into storage.  Each produced value is canonicalized once; its proposal and
+its held write share the polar form.  A byte-mode diagonal gate decodes no
+region: positions that store the same (magnitude, phase) index pair hold
+the same value, so each rank applies the gate to its region's distinct
+stored pairs only, and after the barrier, which stays per gate, remaps the
+region's bytes through tables.  Proposals depend only on the set of
+produced values, so tables and bytes are those of a whole-region decode.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import gates as g
 from .circuit import Circuit, validate_circuit
-from .codec import Codebook
+from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, stacked_qubits
 from .kernels import apply_diagonal, apply_single, apply_two
 from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, partition,
@@ -165,27 +171,33 @@ class _Engine:
             ledger.gate_operations += 1
 
     def _apply_local(self, gate: g.Gate) -> None:
-        """Fp modes compute in place; byte mode on a decoded copy it commits."""
+        """Fp modes compute in place; byte mode on decoded values it commits."""
         n_local = self.layout.local_qubits
-        decoded = self.codebook is not None
-        where, qubits, rank_bits = (), gate.qubits, 0
+        byte = self.codebook is not None
+        where, qubits, rank_bits, distinct = (), gate.qubits, 0, False
         if g.is_diagonal(gate):
             # a diagonal gate acts only where all its qubits read one
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
-            if decoded:
-                where, qubits = (qubits,), ()
+            if byte:
+                # positions that store one code hold one value, which the
+                # gate scales alike: it acts on the distinct values only
+                where, qubits, distinct = (qubits,), (), True
         # whole pair groups per block keep kernel temporaries small
         block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue
-            state = self.states[rank]
-            psi = state.working(where) if decoded else state.psi
+            state, codes = self.states[rank], None
+            if distinct:
+                codes, psi = state.distinct(where)
+            else:
+                psi = state.working(where) if byte else state.psi
             for start in range(0, psi.size, block):
                 _apply_gate(psi[start:start + block], gate, qubits)
-            if decoded:
-                self._write(rank, psi, [(rank, where, psi)])
+            if byte:
+                self._write(rank, psi, [(rank, where, ...)], codes)
+                del psi  # the held write keeps only the canonical form
         self._commit()
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
@@ -193,30 +205,39 @@ class _Engine:
         for rank, members, own, stacked in group_exchange(
                 self.states, self.transport, plan.masks, self.rank_order, gate.qubits):
             _apply_gate(stacked.reshape(-1), gate, qubits)
-            self._write(rank, stacked, [(m, own, stacked[p]) for p, m in enumerate(members)])
+            self._write(rank, stacked, [(m, own, p) for p, m in enumerate(members)])
         self._commit()
 
     # -- storage commit ----------------------------------------------------
 
-    def _write(self, rank: int, produced: np.ndarray, writes: list) -> None:
-        """Store what ``rank`` computed: fp at once, byte after ``_commit``."""
+    def _write(self, rank: int, produced: np.ndarray, writes: list, codes=None) -> None:
+        """Store what ``rank`` computed: fp at once, byte after ``_commit``.
+
+        A write ``(owner, where, key)`` puts ``produced[key]`` into
+        ``owner``'s slice at ``where``; ``codes`` marks values that
+        ``LocalState.distinct`` gave.  Byte mode canonicalizes the produced
+        values once, and its proposal and held writes share the result.
+        """
         if self.codebook is None:
-            for owner, where, values in writes:
-                self.states[owner].store(values, where)
+            for owner, where, key in writes:
+                self.states[owner].store(produced[key], where)
             return
-        self._proposals[rank] = self.codebook.propose(produced)
-        self._pending += writes
+        r, theta, ux, uy = canonicalize(produced)
+        self._proposals[rank] = self.codebook.propose(r, theta, ux, uy)
+        r, theta = r.reshape(produced.shape), theta.reshape(produced.shape)
+        self._pending += [(owner, where, (r[key], theta[key]), codes)
+                          for owner, where, key in writes]
 
     def _commit(self) -> None:
         """Byte mode: merge all ranks' proposals, then encode the held writes."""
         if self.codebook is None:
             return
-        empty = self.codebook.propose(np.zeros(0, dtype=np.complex128))
+        empty = Proposal(*(np.zeros(0),) * 4)
         proposals = [self._proposals.get(rank, empty)
                      for rank in range(self.layout.rank_count)]
         self.codebook.merge(self.transport.collective(proposals))
-        for owner, where, values in self._pending:
-            self.states[owner].store(values, where)
+        for owner, where, polar, codes in self._pending:
+            self.states[owner].store(polar, where, codes)
         self._proposals, self._pending = {}, []
 
 

@@ -10,6 +10,11 @@ kept at rest (and therefore what travels over exchanges):
 
 A BYTE partition holds the run's one ``Codebook``, shared by every
 partition, and decodes and encodes through it; callers pass no codebook.
+Its ``store`` takes values in the ``(r, theta)`` form that ``canonicalize``
+gives, so a value's proposal at the codebook barrier and its write share one
+canonicalization.  ``distinct`` and ``store(..., codes=...)`` let a gate that
+acts on each value alone work on a region's distinct stored index pairs
+rather than on every position.
 """
 from __future__ import annotations
 
@@ -95,13 +100,51 @@ class LocalState:
             return self.codebook.decode(*payload)
         return payload[0]
 
-    def store(self, values: np.ndarray, where=()) -> None:
+    def distinct(self, where) -> tuple[np.ndarray, np.ndarray]:
+        """BYTE: the distinct stored codes at ``where`` and the values they decode to.
+
+        A position's code is its magnitude index times 256 plus its phase
+        index; the codes come out ascending.  Positions that share a code
+        share a value, so a gate that acts on each value alone, such as a
+        diagonal one, needs only these.
+        """
+        codes = np.unique(_codes(self._views(where)))
+        return codes, self.codebook.decode(codes >> 8, codes & 0xFF)
+
+    def store(self, values, where=(), codes=None) -> None:
         """Write back computed values, re-encoding as the mode requires.
 
         ``where`` is a ``(bits, values)`` pair as ``kernels.bit_view`` takes
         it, and ``()`` names the whole slice; in BYTE mode untouched positions
-        keep their bytes.  BYTE writes follow the gate's codebook barrier.
+        keep their bytes.  BYTE mode takes the ``(r, theta)`` parts that
+        ``canonicalize`` gave for the values, and writes after the gate's
+        codebook barrier.  With the ``codes`` that ``distinct(where)`` gave,
+        the parts hold one value per code, and each position at ``where``
+        takes the encoding of its code's value through 65536-entry tables.
         """
-        parts = self.codebook.encode(values) if self.mode is PrecisionMode.BYTE else (values,)
-        for view, part in zip(self._views(where), parts):
+        views = self._views(where)
+        if self.mode is not PrecisionMode.BYTE:
+            parts = (values,)
+        else:
+            parts = self.codebook.encode(*values)
+            if codes is not None:
+                stored = _codes(views)
+                parts = tuple(_table(codes, part)[stored] for part in parts)
+        for view, part in zip(views, parts):
             view[...] = part.reshape(view.shape)
+
+
+def _codes(views) -> np.ndarray:
+    """16-bit codes of the stored (magnitude, phase) index views."""
+    mag_idx, phase_idx = views
+    codes = mag_idx.astype(np.uint16)
+    codes <<= 8
+    codes |= phase_idx
+    return codes
+
+
+def _table(codes: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """A 65536-entry lookup that maps each of ``codes`` to its entry of ``part``."""
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    table[codes] = part
+    return table

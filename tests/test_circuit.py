@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsim import (Circuit, ParseError, build_adder, gates as g, oracle_run,
                    parse_circuit, serialize_circuit)
@@ -80,6 +81,42 @@ def test_round_trip_preserves_random_circuits(rng):
             assert a.kind == b.kind and a.qubits == b.qubits and a.k == b.k
             if a.matrix is not None:
                 assert np.array_equal(a.matrix, b.matrix)
+
+
+@st.composite
+def circuits(draw):
+    """Circuits of every gate kind with any label permutation."""
+    n = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(
+        ["H", "X", "Y", "Z", "PHASE", "CPHASE", "CNOT", "U2", "U4", "M"]), max_size=14))
+    gate_list = []
+    for kind in kinds:
+        q1, q2 = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-3000, 3000).filter(bool))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        gate_list.append({
+            "H": lambda: g.h(q1), "X": lambda: g.x(q1), "Y": lambda: g.y(q1),
+            "Z": lambda: g.z(q1), "PHASE": lambda: g.phase(q1, k),
+            "CPHASE": lambda: g.cphase(q1, q2, k), "CNOT": lambda: g.cnot(q1, q2),
+            "U2": lambda: g.u2(q1, haar_unitary(rng, 2)),
+            "U4": lambda: g.u4(q1, q2, haar_unitary(rng, 4)),
+            "M": g.measure_all}[kind]())
+    return Circuit(n, tuple(gate_list), tuple(draw(st.permutations(range(n)))))
+
+
+@given(circuit=circuits())
+def test_parse_inverts_serialize(circuit):
+    text = serialize_circuit(circuit)
+    assert ("RELABEL" in text) == (circuit.label_permutation != tuple(range(circuit.n_qubits)))
+    back = parse_circuit(text)
+    assert back.n_qubits == circuit.n_qubits
+    assert back.label_permutation == circuit.label_permutation
+    assert len(back.gates) == len(circuit.gates)
+    for a, b in zip(back.gates, circuit.gates):
+        assert (a.kind, a.qubits, a.k) == (b.kind, b.qubits, b.k)
+        assert (a.matrix is None) == (b.matrix is None)
+        if a.matrix is not None:
+            assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 def test_serialization_is_deterministic(rng):
