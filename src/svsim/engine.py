@@ -14,13 +14,17 @@ mode's bytes per element, and each send charges exactly what it carries.
 Fp modes store results at once.  In byte-encoded mode every gate ends with
 a codebook barrier: ranks propose the values they produced, the proposals
 are merged identically everywhere, and only then are results encoded back
-into storage.  Each produced value is canonicalized once; its proposal and
-its held write share the polar form.  A byte-mode diagonal gate decodes no
-region: positions that store the same (magnitude, phase) index pair hold
-the same value, so each rank applies the gate to its region's distinct
-stored pairs only, and after the barrier, which stays per gate, remaps the
-region's bytes through tables.  Proposals depend only on the set of
-produced values, so tables and bytes are those of a whole-region decode.
+into storage.  Byte mode has one gate path, on stored codes rather than
+values.  A gate combines 1, 2 or 4 components of the codes a rank reads
+(its slice, the region a diagonal gate scales, or the exchange's stacked
+buffer), and its result at a position depends only on the tuple of codes
+there.  So each rank keeps the distinct tuples and each position's tuple
+index, decodes those tuples, applies the gate to them through
+``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``, and
+canonicalizes and proposes the results once.  After the barrier, which
+stays per gate, it encodes the distinct results and scatters their codes
+back through the tuple indices.  Proposals depend only on the set of
+produced values, so tables and bytes are those of a whole-slice decode.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
@@ -44,7 +48,8 @@ from . import gates as g
 from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, stacked_qubits
-from .kernels import apply_diagonal, apply_single, apply_two
+from .kernels import (apply_diagonal, apply_pair_arrays, apply_quad_arrays,
+                      apply_single, apply_two, components)
 from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, partition,
                      peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all
@@ -171,74 +176,114 @@ class _Engine:
             ledger.gate_operations += 1
 
     def _apply_local(self, gate: g.Gate) -> None:
-        """Fp modes compute in place; byte mode on decoded values it commits."""
+        """Fp modes compute in place; byte mode on the codes it reads."""
         n_local = self.layout.local_qubits
         byte = self.codebook is not None
-        where, qubits, rank_bits, distinct = (), gate.qubits, 0, False
+        where, qubits, rank_bits = (), gate.qubits, 0
         if g.is_diagonal(gate):
             # a diagonal gate acts only where all its qubits read one
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
             if byte:
-                # positions that store one code hold one value, which the
-                # gate scales alike: it acts on the distinct values only
-                where, qubits, distinct = (qubits,), (), True
+                # byte mode reads only that region, as the gate's one component
+                where, qubits = (qubits,), ()
         # whole pair groups per block keep kernel temporaries small
         block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue
-            state, codes = self.states[rank], None
-            if distinct:
-                codes, psi = state.distinct(where)
-            else:
-                psi = state.working(where) if byte else state.psi
-            for start in range(0, psi.size, block):
-                _apply_gate(psi[start:start + block], gate, qubits)
+            state = self.states[rank]
             if byte:
-                self._write(rank, psi, [(rank, where, ...)], codes)
-                del psi  # the held write keeps only the canonical form
+                self._apply_codes(rank, gate, state.stack([state.views(where)]),
+                                  qubits, [(rank, where)])
+                continue
+            for start in range(0, state.psi.size, block):
+                _apply_gate(state.psi[start:start + block], gate, qubits)
         self._commit()
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
         qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
         for rank, members, own, stacked in group_exchange(
                 self.states, self.transport, plan.masks, self.rank_order, gate.qubits):
+            writes = [(member, own) for member in members]
+            if self.codebook is not None:
+                self._apply_codes(rank, gate, stacked, qubits, writes)
+                continue
             _apply_gate(stacked.reshape(-1), gate, qubits)
-            self._write(rank, stacked, [(m, own, p) for p, m in enumerate(members)])
+            for (owner, where), row in zip(writes, stacked):
+                self.states[owner].store(row, where)
         self._commit()
 
-    # -- storage commit ----------------------------------------------------
+    # -- byte mode: distinct code tuples and the codebook barrier ----------
 
-    def _write(self, rank: int, produced: np.ndarray, writes: list, codes=None) -> None:
-        """Store what ``rank`` computed: fp at once, byte after ``_commit``.
+    def _apply_codes(self, rank: int, gate: g.Gate, codes: np.ndarray,
+                     qubits: tuple[int, ...], writes: list) -> None:
+        """Apply ``gate`` to the distinct code tuples of ``codes``; hold the write.
 
-        A write ``(owner, where, key)`` puts ``produced[key]`` into
-        ``owner``'s slice at ``where``; ``codes`` marks values that
-        ``LocalState.distinct`` gave.  Byte mode canonicalizes the produced
-        values once, and its proposal and held writes share the result.
+        ``codes`` has one row per write ``(owner, where)``, and the gate's
+        qubits are ``qubits`` bits of its ravelled form.  The rank proposes
+        the distinct results now; ``_commit`` stores them after the barrier.
         """
-        if self.codebook is None:
-            for owner, where, key in writes:
-                self.states[owner].store(produced[key], where)
-            return
+        tuples, inverse = _distinct_tuples(components(codes.reshape(-1), qubits))
+        produced = np.stack(_apply_arrays(gate, self.states[rank].values(tuples)))
         r, theta, ux, uy = canonicalize(produced)
         self._proposals[rank] = self.codebook.propose(r, theta, ux, uy)
-        r, theta = r.reshape(produced.shape), theta.reshape(produced.shape)
-        self._pending += [(owner, where, (r[key], theta[key]), codes)
-                          for owner, where, key in writes]
+        self._pending.append((rank, writes, codes.shape, qubits, inverse, r, theta))
 
     def _commit(self) -> None:
-        """Byte mode: merge all ranks' proposals, then encode the held writes."""
+        """Byte mode: merge all ranks' proposals, then encode and store the held writes."""
         if self.codebook is None:
             return
         empty = Proposal(*(np.zeros(0),) * 4)
         proposals = [self._proposals.get(rank, empty)
                      for rank in range(self.layout.rank_count)]
         self.codebook.merge(self.transport.collective(proposals))
-        for owner, where, polar, codes in self._pending:
-            self.states[owner].store(polar, where, codes)
+        for rank, writes, shape, qubits, inverse, r, theta in self._pending:
+            codes = np.empty(shape, dtype=np.uint16)
+            parts = components(codes.reshape(-1), qubits)
+            encoded = self.states[rank].encode(r, theta).reshape(len(parts), -1)
+            for view, part in zip(parts, encoded):
+                view[...] = part[inverse]
+            for (owner, where), row in zip(writes, codes):
+                self.states[owner].store(row, where)
         self._proposals, self._pending = {}, []
+
+
+def _distinct_tuples(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct tuples of aligned 16-bit code arrays, and each position's tuple.
+
+    Returns the tuples as a ``(len(parts), D)`` array and, in the shape of a
+    part, each position's column in it, in the smallest unsigned type that
+    holds D - 1.  One part keys on its 16-bit codes, mapped through a
+    65536-entry table; wider tuples pack into one 32- or 64-bit key and
+    take a sorting unique.
+    """
+    if len(parts) == 1:
+        distinct = np.unique(parts[0])
+        table = np.empty(1 << 16, dtype=np.min_scalar_type(distinct.size - 1))
+        table[distinct] = np.arange(distinct.size)
+        return distinct[None], table[parts[0]]
+    key = np.zeros(parts[0].shape, dtype=np.uint32 if len(parts) == 2 else np.uint64)
+    for part in parts:
+        key <<= 16
+        key |= part
+    keys, inverse = np.unique(key.reshape(-1), return_inverse=True)
+    tuples = np.empty((len(parts), keys.size), dtype=np.uint16)
+    for row in reversed(tuples):
+        row[...] = keys & 0xFFFF
+        keys >>= 16
+    inverse = inverse.astype(np.min_scalar_type(keys.size - 1))
+    return tuples, inverse.reshape(key.shape)
+
+
+def _apply_arrays(gate: g.Gate, values: np.ndarray):
+    """``gate`` applied to aligned component values, one row per component."""
+    if g.is_diagonal(gate):
+        apply_diagonal(values[0], (), g.diagonal_factor(gate))
+        return values
+    if len(values) == 2:
+        return apply_pair_arrays(values[0], values[1], g.unitary_matrix(gate))
+    return apply_quad_arrays(list(values), g.unitary_matrix(gate))
 
 
 def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...]) -> None:

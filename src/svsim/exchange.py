@@ -10,14 +10,14 @@ Every member sends every other member that member's part, as a copy of its
 stored form (storage-dtype amplitudes, or the two codebook index arrays in
 byte mode), so each message charges exactly the bytes it carries.  Each
 member then stacks the 2**k aligned components of its own part, component c
-from the member at position c, into one complex128 buffer in which high
-qubit j is bit n_local - k + j.  Ranks are yielded one at a time, so a
-caller that stores as it goes holds one rank's buffer at once.  Byte-mode
-states decode with the codebook they hold, so the exchange takes none.
+from the member at position c (its own straight from storage), into one
+buffer in which high qubit j is bit n_local - k + j: complex128 amplitudes
+in the fp modes, and in byte mode the 16-bit stored codes, so nothing is
+decoded here (``LocalState.stack``).
+Ranks are yielded one at a time, so a caller that stores as it goes holds
+one rank's buffer at once.
 """
 from __future__ import annotations
-
-import numpy as np
 
 
 def _group_members(rank: int, masks: tuple[int, ...]) -> list[int]:
@@ -51,8 +51,7 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits
     low = _low_part_bit(n_local, masks, qubits)
     bits = tuple(range(low, low + k))
     parts = [(bits, tuple(p >> j & 1 for j in range(k))) for p in range(1 << k)]
-    size = 1 << (n_local - k)
-    nbytes = size * states[0].mode.bytes_per_element
+    nbytes = (1 << (n_local - k)) * states[0].mode.bytes_per_element
     for rank in rank_order:
         for p, member in enumerate(_group_members(rank, masks)):
             if member != rank:
@@ -60,8 +59,7 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits
     for rank in rank_order:
         members = _group_members(rank, masks)
         own = parts[members.index(rank)]
-        stacked = np.empty((1 << k, size), dtype=np.complex128)
-        for p, member in enumerate(members):
-            stacked[p] = (states[rank].working(own) if member == rank else
-                          states[rank].values(transport.recv(rank, member)))
+        state = states[rank]
+        stacked = state.stack([state.views(own) if member == rank else
+                               transport.recv(rank, member) for member in members])
         yield rank, members, own, stacked

@@ -10,9 +10,11 @@ reads 0 and 1, a two-qubit gate spans four views, and a diagonal gate
 scales the view where its qubits read 1.  Updates are vectorised, so
 results do not depend on any internal visiting order.
 
-``pair_indices`` and the ``*_arrays`` kernels (index arrays, separate
-aligned buffers) have no caller in the package; they stay as tested public
-kernels that the benchmark's tracer wraps by name.
+The ``*_arrays`` kernels compute the same expressions as ``apply_single``
+and ``apply_two``, value by value, on separate aligned buffers; byte mode
+applies them to the distinct stored code tuples of a gate's ``components``.
+``pair_indices`` has no caller in the package; it stays as a tested public
+kernel that the benchmark's tracer wraps by name.
 """
 from __future__ import annotations
 
@@ -101,3 +103,13 @@ def apply_quad_arrays(components: list[np.ndarray], matrix: np.ndarray) -> list[
 def norm_squared(psi: np.ndarray) -> float:
     a = psi.astype(np.complex128, copy=False)
     return float(np.real(np.vdot(a, a)))
+
+
+def components(a: np.ndarray, bits=()) -> list[np.ndarray]:
+    """The 2**len(bits) views of 1-D ``a`` that fix ``bits``, in gate basis order.
+
+    In view i, bit ``bits[j]`` reads bit j of i, as in ``apply_two``'s
+    matrix basis; no bits gives ``a`` whole.
+    """
+    return [bit_view(a, bits, tuple(i >> j & 1 for j in range(len(bits))))
+            for i in range(1 << len(bits))]

@@ -57,11 +57,16 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
 
     Storage, the payloads an exchange queues before its first member computes
     (1 - 2**-k of the state, k <= 2), and complex128 copies of one rank's
-    slice: 4 for a kernel's working set, or in byte mode one per rank, held
-    until the codebook barrier, and 8 for the codec.  Traced on 2**18 values,
-    its transients peak at 2.6 copies in ``canonicalize``, whose four parts
-    ``propose`` then reads with up to 3.2 more, 2.6 in ``encode`` and 1.5 in
-    ``decode``.
+    slice: 4 for a kernel's working set, or in byte mode one per rank for the
+    write it holds until the codebook barrier, and 8 for the codec.  A held
+    byte-mode write is, for each code tuple the gate combines, its index
+    among the distinct tuples (at most 4 B), and 16 B of ``(r, theta)`` per
+    distinct result: about 1 B per amplitude when tuples repeat as in the
+    byte-mode adder, and up to 18 B, 1/8 over its copy, when none repeats.
+    Traced on 2**18 values, the codec's transients peak at 2.6 copies in
+    ``canonicalize``, whose four parts ``propose`` then reads with up to 3.2
+    more, 2.6 in ``encode`` and 1.5 in ``decode``; a byte-mode gate now runs
+    them on its distinct tuples only.
     """
     storage = memory_bytes(layout.total_qubits, mode)
     queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))

@@ -8,10 +8,10 @@ Measurement only reads the state, one rank at a time: each rank's decoded
 copy gives its norm and every local qubit's sums before the next rank is
 decoded.  A qubit at or above the local width is one round of the group
 exchange of ``exchange`` between partner ranks: each rank sends its partner
-the stored half the partner owns and sums the pair products over its own
-half.  Scalar reductions ride the collective channel and cost no counted
-bytes.  Byte-mode states decode with the codebook they hold, so measurement
-takes none.
+the stored half the partner owns, decodes the pair of rows the exchange
+stacks, and sums the pair products over its own half.  Scalar reductions
+ride the collective channel and cost no counted bytes.  Byte-mode states
+decode with the codebook they hold, so measurement takes none.
 """
 from __future__ import annotations
 
@@ -75,7 +75,8 @@ def measure_all(states: list[LocalState], layout: PartitionLayout, transport: Tr
     total_norm = sum(transport.collective(norms))
     for q in range(n_local, n_qubits):
         bit = q - n_local
-        for rank, _, _, (a0, a1) in group_exchange(states, transport, (1 << bit,), order):
+        for rank, _, _, stacked in group_exchange(states, transport, (1 << bit,), order):
+            a0, a1 = states[rank].values(stacked)
             cross[rank][q] = complex(np.sum(a0.conj() * a1))
             if (rank >> bit) & 1:
                 ones[rank][q] = norms[rank]

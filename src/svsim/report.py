@@ -9,8 +9,10 @@ configuration.
 Accuracy fields follow the counters: the measured norm's deviation from 1
 (None without a measurement), whether it exceeds the storage mode's
 ``norm_tolerance``, and in byte mode the codebook's quantisation bound per
-table, ``Codebook.resolution()`` (None in fp modes).  They come after the
-older JSON keys and CSV columns, whose names and order do not change.
+table, ``Codebook.resolution()``, and its table sizes (both None in fp
+modes).  They come after the older JSON keys and CSV columns, whose names
+and order do not change; the table sizes are in JSON and the table form
+only.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ class RunReport:
     norm_deviation: float | None
     norm_tolerance_exceeded: bool
     codebook_resolution: dict | None
+    codebook_entries: dict | None
 
     def to_dict(self) -> dict:
         return {
@@ -65,6 +68,7 @@ class RunReport:
             "normDeviation": self.norm_deviation,
             "normToleranceExceeded": self.norm_tolerance_exceeded,
             "codebookResolution": self.codebook_resolution,
+            "codebookEntries": self.codebook_entries,
         }
 
     def to_json(self) -> str:
@@ -107,6 +111,7 @@ class RunReport:
             f"phases={self.codebook_overflow['phases']}",
             f"norm deviation     : {self._norm_text()}",
             f"codebook resolution: {self._resolution_text()}",
+            f"codebook entries   : {self._entries_text()}",
             f"wall time (s)      : {self.wall_time_seconds:.3f}",
         ]
         if self.expectations:
@@ -130,6 +135,12 @@ class RunReport:
         return (f"magnitudes={self.codebook_resolution['magnitudes']:.3g} "
                 f"phases={self.codebook_resolution['phases']:.3g}")
 
+    def _entries_text(self) -> str:
+        if self.codebook_entries is None:
+            return "n/a"
+        return (f"magnitudes={self.codebook_entries['magnitudes']} "
+                f"phases={self.codebook_entries['phases']}")
+
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return self.to_json()
@@ -150,11 +161,12 @@ def build_report(result: RunResult) -> RunReport:
             for q in range(report.n_qubits)
         ]
     overflow = {"magnitudes": False, "phases": False}
-    resolution = None
-    if result.codebook is not None:
-        overflow = {"magnitudes": result.codebook.mag_overflow,
-                    "phases": result.codebook.phase_overflow}
-        resolution = dict(zip(("magnitudes", "phases"), result.codebook.resolution()))
+    resolution = entries = None
+    book = result.codebook
+    if book is not None:
+        overflow = {"magnitudes": book.mag_overflow, "phases": book.phase_overflow}
+        resolution = dict(zip(("magnitudes", "phases"), book.resolution()))
+        entries = {"magnitudes": len(book.mags), "phases": len(book.thetas)}
     deviation = None if report is None else report.norm_deviation
     return RunReport(
         qubits=result.circuit.n_qubits,
@@ -172,4 +184,5 @@ def build_report(result: RunResult) -> RunReport:
         norm_deviation=deviation,
         norm_tolerance_exceeded=deviation is not None and deviation > result.mode.norm_tolerance,
         codebook_resolution=resolution,
+        codebook_entries=entries,
     )

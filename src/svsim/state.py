@@ -8,13 +8,14 @@ kept at rest (and therefore what travels over exchanges):
   FP32: complex64, 8 bytes per amplitude
   BYTE: two uint8 codebook indices, 2 bytes per amplitude
 
-A BYTE partition holds the run's one ``Codebook``, shared by every
+An exchanged gate, and every byte-mode gate, computes on ``stack``ed rows:
+complex128 amplitudes in the fp modes, and in BYTE mode each position's
+16-bit code, its magnitude index times 256 plus its phase index.  A
+byte-mode gate's result at a position depends only on the codes it
+combines, so the engine works on distinct code tuples and decodes
+(``values``) and encodes (``encode``) only those; ``store`` takes codes
+back.  A BYTE partition holds the run's one ``Codebook``, shared by every
 partition, and decodes and encodes through it; callers pass no codebook.
-Its ``store`` takes values in the ``(r, theta)`` form that ``canonicalize``
-gives, so a value's proposal at the codebook barrier and its write share one
-canonicalization.  ``distinct`` and ``store(..., codes=...)`` let a gate that
-acts on each value alone work on a region's distinct stored index pairs
-rather than on every position.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class LocalState:
     def storage_nbytes(self) -> int:
         return self.mode.bytes_per_element << self.n_local
 
-    def _views(self, where) -> tuple:
+    def views(self, where=()) -> tuple:
         """Views of the arrays kept at rest, at ``where``."""
         arrays = ((self.mag_idx, self.phase_idx) if self.mode is PrecisionMode.BYTE
                   else (self.psi,))
@@ -85,66 +86,55 @@ class LocalState:
 
     def working(self, where=()) -> np.ndarray:
         """Decoded complex128 copy of the slice, or of its ``where`` part."""
-        views = self._views(where)
+        views = self.views(where)
         if self.mode is PrecisionMode.BYTE:
             return self.codebook.decode(*views).reshape(-1)
         return views[0].astype(np.complex128).reshape(-1)
 
     def payload(self, where) -> tuple:
         """Copy of the stored arrays at ``where``: what an exchange sends."""
-        return tuple(view.flatten() for view in self._views(where))
+        return tuple(view.flatten() for view in self.views(where))
 
-    def values(self, payload) -> np.ndarray:
-        """Amplitudes a payload carries; an fp payload's array is returned as it is."""
-        if self.mode is PrecisionMode.BYTE:
-            return self.codebook.decode(*payload)
-        return payload[0]
+    def stack(self, parts) -> np.ndarray:
+        """What a gate computes on: one row per part, in ascending index order.
 
-    def distinct(self, where) -> tuple[np.ndarray, np.ndarray]:
-        """BYTE: the distinct stored codes at ``where`` and the values they decode to.
-
-        A position's code is its magnitude index times 256 plus its phase
-        index; the codes come out ascending.  Positions that share a code
-        share a value, so a gate that acts on each value alone, such as a
-        diagonal one, needs only these.
+        A part is what ``views`` or ``payload`` gives.  Rows hold complex128
+        amplitudes in the fp modes and 16-bit codes in BYTE mode.
         """
-        codes = np.unique(_codes(self._views(where)))
-        return codes, self.codebook.decode(codes >> 8, codes & 0xFF)
+        byte = self.mode is PrecisionMode.BYTE
+        rows = np.empty((len(parts), parts[0][0].size),
+                        dtype=np.uint16 if byte else np.complex128)
+        for row, part in zip(rows, parts):
+            row = row.reshape(part[0].shape)
+            row[...] = part[0]
+            if byte:
+                row <<= 8
+                row |= part[1]
+        return rows
 
-    def store(self, values, where=(), codes=None) -> None:
-        """Write back computed values, re-encoding as the mode requires.
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Amplitudes ``stack`` rows hold: BYTE codes decode, fp rows are returned."""
+        if self.mode is PrecisionMode.BYTE:
+            return self.codebook.decode(rows >> 8, rows & 0xFF)
+        return rows
+
+    def encode(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """BYTE: the codes of the ``(r, theta)`` parts that ``canonicalize`` gave.
+
+        Called after the gate's codebook barrier, so the codes index the
+        tables every partition then holds.
+        """
+        return self.stack([self.codebook.encode(r, theta)])[0]
+
+    def store(self, data: np.ndarray, where=()) -> None:
+        """Write back at ``where``: values in the fp modes, codes in BYTE mode.
 
         ``where`` is a ``(bits, values)`` pair as ``kernels.bit_view`` takes
-        it, and ``()`` names the whole slice; in BYTE mode untouched positions
-        keep their bytes.  BYTE mode takes the ``(r, theta)`` parts that
-        ``canonicalize`` gave for the values, and writes after the gate's
-        codebook barrier.  With the ``codes`` that ``distinct(where)`` gave,
-        the parts hold one value per code, and each position at ``where``
-        takes the encoding of its code's value through 65536-entry tables.
+        it, and ``()`` names the whole slice; positions outside it keep what
+        they hold.  Fp32 storage rounds the complex128 values it is given.
         """
-        views = self._views(where)
-        if self.mode is not PrecisionMode.BYTE:
-            parts = (values,)
-        else:
-            parts = self.codebook.encode(*values)
-            if codes is not None:
-                stored = _codes(views)
-                parts = tuple(_table(codes, part)[stored] for part in parts)
+        views = self.views(where)
+        parts = ((data >> 8, data & 0xFF) if self.mode is PrecisionMode.BYTE
+                 else (data,))
         for view, part in zip(views, parts):
             view[...] = part.reshape(view.shape)
-
-
-def _codes(views) -> np.ndarray:
-    """16-bit codes of the stored (magnitude, phase) index views."""
-    mag_idx, phase_idx = views
-    codes = mag_idx.astype(np.uint16)
-    codes <<= 8
-    codes |= phase_idx
-    return codes
-
-
-def _table(codes: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """A 65536-entry lookup that maps each of ``codes`` to its entry of ``part``."""
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    table[codes] = part
-    return table

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from svsim import build_adder, build_benchmark, decode_register, oracle_run

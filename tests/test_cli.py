@@ -98,16 +98,46 @@ OLD_CSV_COLUMNS = ["qubits", "ranks", "localQubits", "mode", "gateOperations",
                    "magnitudeOverflow", "phaseOverflow", "qubit", "qx", "qy", "qz"]
 
 
-def test_byte_report_shows_norm_deviation_and_codebook_resolution(tmp_path):
-    out = tmp_path / "adder.json"
+@pytest.fixture(scope="module")
+def byte_adder_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("adder") / "adder.json"
     assert main(["--builder", "adder:9:300:211", "--ranks", "4", "--mode", "be",
                  "--report", "json", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_byte_report_shows_norm_deviation_and_codebook_resolution(byte_adder_report):
+    report = byte_adder_report
     assert list(report)[:len(OLD_JSON_KEYS)] == OLD_JSON_KEYS
     assert report["normDeviation"] == 0.0002215920306996022
     assert report["normToleranceExceeded"] is True
     assert report["codebookResolution"] == {"magnitudes": 0.1464466094067262,
                                             "phases": 0.012271846303085532}
+
+
+def test_byte_report_appends_codebook_table_sizes(byte_adder_report):
+    report = byte_adder_report
+    assert list(report)[-2:] == ["codebookResolution", "codebookEntries"]
+    assert report["codebookEntries"] == {"magnitudes": 256, "phases": 256}
+    assert report["codebookOverflowFlags"] == {"magnitudes": True, "phases": True}
+    assert report["normDeviation"] == 0.0002215920306996022
+
+
+def test_fp_report_has_no_codebook_entries(tmp_path):
+    code, report = _run(tmp_path, "fp", "qubits 2\nH 0\nM\n")
+    assert code == 0 and report["mode"] == "fp64"
+    assert list(report)[-2:] == ["codebookResolution", "codebookEntries"]
+    assert report["codebookEntries"] is None
+
+
+@pytest.mark.parametrize("mode", ["fp64", "be"])
+def test_report_table_shows_codebook_entries(mode, capsys):
+    assert main(["--builder", "adder:2:1:2", "--ranks", "2", "--mode", mode,
+                 "--report", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    entries = [line for line in lines if line.startswith("codebook entries   : ")]
+    assert entries == ["codebook entries   : " + ("n/a" if mode == "fp64"
+                                                   else "magnitudes=4 phases=4")]
 
 
 @pytest.mark.parametrize("mode", ["fp64", "be"])

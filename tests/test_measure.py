@@ -1,7 +1,4 @@
-import numpy as np
-
 from svsim import Circuit, PrecisionMode, gates as g, oracle_run, run_circuit
-from svsim.oracle import dense_expectations
 
 
 def test_all_ones_state_reads_half_half_one():

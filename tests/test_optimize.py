@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from svsim import (Circuit, PartitionLayout, build_adder, build_benchmark,

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from svsim import Circuit, PrecisionMode, build_benchmark, gates as g, run_circuit
+from svsim import PrecisionMode, gates as g, run_circuit
 from svsim.layout import TrafficLedger
-from svsim.tier import (TierAccount, TierConfig, naive_staging_bytes, plan_passes,
-                        recommended_fast_bytes)
+from svsim.tier import TierAccount, TierConfig, naive_staging_bytes, plan_passes
 
 from conftest import exact_class_circuit, random_circuit
 
