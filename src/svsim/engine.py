@@ -1,13 +1,18 @@
 """Distributed execution of a circuit over in-process rank workers.
 
 Every gate runs as a bulk-synchronous round.  A diagonal gate, or one whose
-qubits are all local, applies independently on each rank.  Every other gate
-goes through the one group exchange of ``exchange``, as do measured qubits
-in the rank bits: the 2**k ranks that differ in the gate's k rank bits trade
-the parts each member owns, each member applies the gate to the stacked
-components of its own part, and every member's results go back into that
-member's part within the same round through process-shared memory rather
-than a second counted transfer.  Ledger bytes therefore equal the planned
+qubits are all local, applies independently on each rank.  In the fp modes a
+matrix kernel runs on blocks of ``LOCAL_BLOCK`` amplitudes, or of whole pair
+groups where a qubit is higher, and a diagonal gate takes the rank's slice
+whole: one ``apply_diagonal`` call scales its view in place, allocating
+nothing, so blocking would only add calls.
+
+Every other gate goes through the one group exchange of ``exchange``, as do
+measured qubits in the rank bits: the 2**k ranks that differ in the gate's
+k rank bits trade the parts each member owns, each member applies the gate
+to the stacked components of its own part, and every member's results go
+back into that member's part within the same round through process-shared
+memory rather than a second counted transfer.  Ledger bytes therefore equal the planned
 exchange volume, 1 - 2**-k of the local elements per rank at the storage
 mode's bytes per element, and each send charges exactly what it carries.
 
@@ -57,7 +62,9 @@ from .state import LocalState, PrecisionMode
 from .tier import TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
 
-LOCAL_BLOCK = 1 << 13  # amplitudes per kernel call on the local path
+# amplitudes per matrix-kernel call on the local path: 2**13 measured faster
+# per amplitude than whole-slice calls; diagonal gates are not blocked
+LOCAL_BLOCK = 1 << 13
 
 
 @dataclass
@@ -180,15 +187,16 @@ class _Engine:
         n_local = self.layout.local_qubits
         byte = self.codebook is not None
         where, qubits, rank_bits = (), gate.qubits, 0
+        # whole pair groups per block keep a matrix kernel's buffers small
+        block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         if g.is_diagonal(gate):
             # a diagonal gate acts only where all its qubits read one
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
+            block = 1 << n_local  # scaling a view in place allocates nothing
             if byte:
                 # byte mode reads only that region, as the gate's one component
                 where, qubits = (qubits,), ()
-        # whole pair groups per block keep kernel temporaries small
-        block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue

@@ -52,26 +52,50 @@ def memory_bytes(n_qubits: int, mode: PrecisionMode) -> int:
     return mode.bytes_per_element << n_qubits
 
 
+# What a rank holds besides amplitude data.  Traced with tracemalloc at the
+# send phase of a quad exchange, 12 qubits on 256 ranks: 2.6 KB of mailbox
+# queues for its three messages, 0.5-0.9 KB of payload array headers, and
+# 1.1-1.4 KB of its LocalState, storage array headers, ledger and views;
+# 4.6 KB in all in fp64 and 5.5 KB in byte mode.
+RANK_OVERHEAD_BYTES = 6 << 10
+# A byte-mode write held until the barrier, per amplitude, when no code tuple
+# repeats: 16 B of ``(r, theta)`` and up to 2 B of tuple index.
+HELD_WRITE_BYTES = 18
+# Byte mode's table from a 16-bit code to its distinct tuple, 65536 entries of
+# up to 2 B, which one gate holds at a time.
+TUPLE_TABLE_BYTES = 2 << 16
+
+
 def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     """Most memory a run on ``layout`` is built to hold at once, in bytes.
 
     Storage, the payloads an exchange queues before its first member computes
-    (1 - 2**-k of the state, k <= 2), and complex128 copies of one rank's
-    slice: 4 for a kernel's working set, or in byte mode one per rank for the
-    write it holds until the codebook barrier, and 8 for the codec.  A held
-    byte-mode write is, for each code tuple the gate combines, its index
-    among the distinct tuples (at most 4 B), and 16 B of ``(r, theta)`` per
-    distinct result: about 1 B per amplitude when tuples repeat as in the
-    byte-mode adder, and up to 18 B, 1/8 over its copy, when none repeats.
-    Traced on 2**18 values, the codec's transients peak at 2.6 copies in
-    ``canonicalize``, whose four parts ``propose`` then reads with up to 3.2
-    more, 2.6 in ``encode`` and 1.5 in ``decode``; a byte-mode gate now runs
-    them on its distinct tuples only.
+    (1 - 2**-k of the state, k <= 2), ``RANK_OVERHEAD_BYTES`` per rank, and
+    complex128 copies of one rank's slice: 4 for a kernel's working set, or 8
+    for byte mode's codec.  A kernel holds a stacked buffer and, computing in
+    place, at most two more copies: the gathered components with one
+    accumulator and one term buffer, or half a slice saved and one term
+    buffer when the pair's halves are contiguous complex128.  A diagonal gate
+    scales a view in place.
+
+    Byte mode adds the writes every rank holds until the codebook barrier,
+    ``HELD_WRITE_BYTES`` per amplitude of the state at worst: each code
+    tuple's index among the distinct tuples, and 16 B of ``(r, theta)`` per
+    distinct result.  Tuples repeat in the byte-mode adder, about 1 B per
+    amplitude, but 16.9 B was measured on Haar gates.  It also adds
+    ``TUPLE_TABLE_BYTES``.  Traced on 2**18 values, the codec's transients
+    peak at 2.6 copies in ``canonicalize``, whose four parts ``propose`` then
+    reads with up to 3.2 more, 2.6 in ``encode`` and 1.5 in ``decode``; a
+    byte-mode gate runs them on its distinct tuples only.
     """
     storage = memory_bytes(layout.total_qubits, mode)
     queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))
-    copies = layout.rank_count + 8 if mode is PrecisionMode.BYTE else 4
-    return storage + queued + copies * layout.local_size * 16
+    byte = mode is PrecisionMode.BYTE
+    peak = (storage + queued + (8 if byte else 4) * layout.local_size * 16
+            + layout.rank_count * RANK_OVERHEAD_BYTES)
+    if byte:
+        peak += (HELD_WRITE_BYTES << layout.total_qubits) + TUPLE_TABLE_BYTES
+    return peak
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,12 @@ class Transport:
         box = self._mailboxes.get((src, dst))
         if not box:
             raise TransportError(f"no message pending from rank {src} to rank {dst}")
-        return box.popleft()
+        payload = box.popleft()
+        if not box:
+            # a drained pair holds nothing: at 256 ranks its empty queues
+            # outweighed the planned peak
+            del self._mailboxes[(src, dst)]
+        return payload
 
     def collective(self, contributions: list):
         """Gather one contribution per rank, in rank order.

@@ -288,16 +288,60 @@ def test_memory_check_counts_the_run_peak_not_only_storage(monkeypatch, capsys):
     assert "the machine has 16384 B" in capsys.readouterr().err
 
 
+def haar_gates_circuit(rng, n):
+    """64 Haar U2 and 8 Haar U4 gates: byte-mode code tuples rarely repeat."""
+    gates = [g.u2(int(rng.integers(n)), haar_unitary(rng, 2)) for _ in range(64)]
+    gates += [g.u4(q, (q + 5) % n, haar_unitary(rng, 4)) for q in range(8)]
+    return Circuit(n, tuple(gates) + (g.measure_all(),))
+
+
 @pytest.mark.parametrize("mode", list(PrecisionMode))
 def test_traced_peak_stays_under_the_planned_bound(rng, mode):
-    circuit = random_circuit(rng, 16, 12)
-    tracemalloc.start()
-    try:
-        run_circuit(circuit, ranks=4, mode=mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= peak_bytes(partition(16, 4), mode)
+    # at small slices what a rank holds besides its amplitudes dominates
+    for n, ranks in ((16, 4), (14, 64), (12, 256)):
+        circuits = [random_circuit(rng, n, 12)]
+        if mode is PrecisionMode.BYTE and ranks == 64:
+            circuits.append(haar_gates_circuit(rng, n))
+        for circuit in circuits:
+            tracemalloc.start()
+            try:
+                run_circuit(circuit, ranks=ranks, mode=mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= peak_bytes(partition(n, ranks), mode), (n, ranks)
+
+
+def test_a_drained_mailbox_is_forgotten(rng):
+    transports = []
+
+    def factory(n, ledgers):
+        transports.append(Transport(n, ledgers))
+        return transports[-1]
+
+    result = run_circuit(random_circuit(rng, 12, 12), ranks=256, transport_factory=factory)
+    assert result.total_messages > 0
+    assert transports[0]._mailboxes == {}
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_a_diagonal_gate_makes_one_kernel_call_per_visited_rank(monkeypatch, mode):
+    import svsim.engine
+    calls = []
+
+    def counting(psi, bits, factor):
+        calls.append(psi.size)
+        svsim.kernels.apply_diagonal(psi, bits, factor)
+
+    monkeypatch.setattr(svsim.engine, "apply_diagonal", counting)
+    monkeypatch.setattr(svsim.engine, "LOCAL_BLOCK", 8)
+    # 8 local qubits on 4 ranks: qubits 8 and 9 are rank bits
+    diagonal = [(g.cphase(0, 2, 2), 4), (g.z(9), 2), (g.phase(8, 3), 2),
+                (g.cphase(9, 8, 1), 1), (g.cphase(3, 9, 4), 2)]
+    for gate, visited in diagonal:
+        calls.clear()
+        run_circuit(Circuit(10, (g.h(0), g.h(9), gate)), ranks=4, mode=mode)
+        assert calls == [1 << 8] * visited, gate
 
 
 @given(seed=st.integers(0, 2**32 - 1), ranks=st.sampled_from([1, 2, 4, 8]),

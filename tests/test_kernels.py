@@ -139,7 +139,7 @@ def test_norm_preserved_over_random_circuits(rng):
             else:
                 kernels.apply_two(psi, gate.qubits[0], gate.qubits[1],
                                   g.unitary_matrix(gate))
-        assert abs(kernels.norm_squared(psi) - 1.0) < 1e-12
+        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
 
 
 def test_kernels_match_oracle_on_random_circuits(rng):
@@ -220,3 +220,111 @@ def test_fp32_diagonal_is_the_double_result_rounded_once(rng):
         kernels.apply_diagonal(ref, bits, factor)
         kernels.apply_diagonal(out, bits, factor)
         assert np.array_equal(out, ref.astype(np.complex64))
+
+
+def parent_expression(components, matrix):
+    """Row r of ``matrix`` applied as m[r,0]*a0 + m[r,1]*a1 (+ ...), left to right.
+
+    Products keep the matrix entry first and every operand is complex128:
+    the arithmetic the kernels must reproduce bit for bit.
+    """
+    a = [c.astype(np.complex128) for c in components]
+    rows = []
+    for row in matrix:
+        value = row[0] * a[0]
+        for entry, x in zip(row[1:], a[1:]):
+            value = value + entry * x
+        rows.append(value)
+    return rows
+
+
+def component_indices(n, bits):
+    """Index arrays of the 2**len(bits) components, in gate basis order."""
+    i = np.arange(1 << n)
+    base = i[np.all([(i >> b) & 1 == 0 for b in bits], axis=0)]
+    return [base + sum(((c >> j) & 1) << b for j, b in enumerate(bits))
+            for c in range(1 << len(bits))]
+
+
+def signed_zero_state(seed, n, dtype):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    parts = psi.view(np.float64)
+    zeros = rng.random(parts.size) < 0.25
+    parts[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return psi.astype(dtype)
+
+
+def drawn_matrix(data, dim):
+    named = {2: [g.H_MATRIX, g.X_MATRIX], 4: [g.CNOT_MATRIX]}[dim]
+    choice = data.draw(st.integers(0, len(named)), label="matrix")
+    if choice < len(named):
+        return named[choice]
+    return haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), dim)
+
+
+def reference_update(psi, bits, matrix):
+    """``psi`` after the gate, by ``parent_expression`` on explicit index arrays."""
+    parts = component_indices(psi.size.bit_length() - 1, bits)
+    expected = psi.copy()
+    for index, value in zip(parts, parent_expression([psi[p] for p in parts], matrix)):
+        expected[index] = value
+    return expected
+
+
+def apply_matrix(psi, bits, matrix):
+    if len(bits) == 1:
+        kernels.apply_single(psi, bits[0], matrix)
+    else:
+        kernels.apply_two(psi, bits[0], bits[1], matrix)
+
+
+@given(st.data())
+def test_matrix_kernels_keep_the_parent_arithmetic_bit_for_bit(data):
+    dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+    k = data.draw(st.integers(1, 2), label="qubits")
+    n = data.draw(st.integers(k, 7), label="n")
+    matrix = drawn_matrix(data, 2 << (k - 1))
+    drawn = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True),
+                      label="bits")
+    edges = [(0,), (n - 1,)] if k == 1 else [(0, n - 1), (n - 1, 0)]
+    for bits in {tuple(drawn), *edges}:
+        psi = signed_zero_state(data.draw(st.integers(0, 2**32 - 1)), n, dtype)
+        expected = reference_update(psi, bits, matrix)
+        apply_matrix(psi, bits, matrix)
+        assert psi.tobytes() == expected.tobytes(), bits
+
+
+@given(st.data())
+def test_array_kernels_keep_the_parent_arithmetic_and_match_the_in_place_kernels(data):
+    k = data.draw(st.integers(1, 2), label="qubits")
+    n = data.draw(st.integers(k, 7), label="n")
+    matrix = drawn_matrix(data, 2 << (k - 1))
+    bits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                    unique=True), label="bits"))
+    psi = signed_zero_state(data.draw(st.integers(0, 2**32 - 1)), n, np.complex128)
+    parts = component_indices(n, bits)
+    components = [psi[p] for p in parts]
+    before = [c.copy() for c in components]
+    if k == 1:
+        produced = kernels.apply_pair_arrays(components[0], components[1], matrix)
+        kernels.apply_single(psi, bits[0], matrix)
+    else:
+        produced = kernels.apply_quad_arrays(components, matrix)
+        kernels.apply_two(psi, bits[0], bits[1], matrix)
+    assert [c.tobytes() for c in components] == [c.tobytes() for c in before]
+    expected = parent_expression(before, matrix)
+    assert [p.tobytes() for p in produced] == [e.tobytes() for e in expected]
+    assert [p.tobytes() for p in produced] == [psi[index].tobytes() for index in parts]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_one_element_components_keep_the_parent_arithmetic(rng, dtype):
+    # numpy rounds a one-element product written over its input differently
+    for _ in range(20):
+        for bits in ((0,), (1, 0)):
+            matrix = haar_unitary(rng, 2 << (len(bits) - 1))
+            psi = signed_zero_state(int(rng.integers(2**32)), len(bits), dtype)
+            expected = reference_update(psi, bits, matrix)
+            apply_matrix(psi, bits, matrix)
+            assert psi.tobytes() == expected.tobytes()
