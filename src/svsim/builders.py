@@ -8,7 +8,7 @@ Fourier transform used below, whose output is naturally bit-reversed.
 from __future__ import annotations
 
 from . import gates as g
-from .circuit import Circuit, RegisterMap
+from .circuit import MAX_QUBITS, Circuit, RegisterMap
 
 
 def build_benchmark(n_qubits: int) -> Circuit:
@@ -17,8 +17,8 @@ def build_benchmark(n_qubits: int) -> Circuit:
     Application order: H on every qubit from n-1 down to 0, then H on
     n-5, n-6, n-1, 0, n-2, 1, then the all-qubit measurement.
     """
-    if n_qubits < 8:
-        raise ValueError("benchmark circuit needs at least 8 qubits")
+    if not 8 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"benchmark circuit needs 8 to {MAX_QUBITS} qubits")
     order = list(range(n_qubits - 1, -1, -1))
     order += [n_qubits - 5, n_qubits - 6, n_qubits - 1, 0, n_qubits - 2, 1]
     gate_list = [g.h(q) for q in order] + [g.measure_all()]
@@ -92,6 +92,9 @@ def build_adder(width: int, addends: list[int]) -> tuple[Circuit, RegisterMap]:
         raise ValueError("register width must be positive")
     if len(addends) not in (2, 3):
         raise ValueError("adder takes two or three addends")
+    if len(addends) * width > MAX_QUBITS:
+        raise ValueError(f"{len(addends)} registers of {width} qubits exceed "
+                         f"{MAX_QUBITS} qubits")
     for a in addends:
         if not 0 <= a < (1 << width):
             raise ValueError(f"addend {a} does not fit in {width} bits")

@@ -26,6 +26,10 @@ import numpy as np
 from . import gates as g
 
 
+# the most qubits a state may have: every amplitude index fits in 64 bits
+MAX_QUBITS = 64
+
+
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
@@ -121,8 +125,8 @@ def parse_circuit(text: str) -> Circuit:
             if len(args) != 1:
                 raise ParseError(line_no, "qubits takes one argument")
             n_qubits = _parse_int(args[0], line_no)
-            if n_qubits < 1:
-                raise ParseError(line_no, "qubit count must be positive")
+            if not 1 <= n_qubits <= MAX_QUBITS:
+                raise ParseError(line_no, f"qubit count must be in [1, {MAX_QUBITS}]")
             perm = list(range(n_qubits))
             continue
 

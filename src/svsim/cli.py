@@ -6,9 +6,14 @@ Examples:
     svsim --builder adder:2:1:2 --report table
     svsim --circuit program.qc --ranks 2 --fast-bytes 65536 --chunk-bytes 4096
 
-Exit status 0 on success, 1 on circuit parse errors, 2 on usage problems
-(bad flags, unreadable or unwritable files, an inconsistent layout or tier
-setting, or a state larger than the machine's memory).
+``--mode`` picks what storage keeps per amplitude: fp64 (complex128, 16 B),
+fp32 (complex64, 8 B) or be (a 2-byte codebook code).  Each of the
+``--ranks`` partitions holds the qubits left after the rank bits.
+
+Exit status 0 on success, 1 on circuit parse errors (a qubit count above 64
+among them), 2 on usage problems (bad flags or builder specs, unreadable or
+unwritable files, an inconsistent layout or tier setting, or a state larger
+than the machine's memory).
 """
 from __future__ import annotations
 
@@ -38,8 +43,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="benchmark:N or adder:M:a:b[:c]")
     parser.add_argument("--ranks", type=int, default=1,
                         help="number of partitions (power of two)")
-    parser.add_argument("--local-qubits", type=int, default=None,
-                        help="qubits per partition (default: qubits - log2 ranks)")
     parser.add_argument("--mode", choices=sorted(MODES), default="fp64")
     parser.add_argument("--fast-bytes", type=int, default=None,
                         help="fast-tier capacity per rank; omit to disable tiering")
@@ -106,10 +109,10 @@ def main(argv: list[str] | None = None) -> int:
             tier_config = (None if args.fast_bytes is None else
                            TierConfig(args.fast_bytes, args.chunk_bytes, args.lookahead))
             if args.optimize_labels:
-                layout = partition(circuit.n_qubits, args.ranks, args.local_qubits)
+                layout = partition(circuit.n_qubits, args.ranks)
                 circuit = relabel(circuit, optimize_labels(circuit, layout))
-            result = run_circuit(circuit, ranks=args.ranks, local_qubits=args.local_qubits,
-                                 mode=MODES[args.mode], tier_config=tier_config)
+            result = run_circuit(circuit, ranks=args.ranks, mode=MODES[args.mode],
+                                 tier_config=tier_config)
         except ValueError as exc:
             parser.exit(2, f"svsim: {exc}\n")
 

@@ -19,14 +19,14 @@ mode's bytes per element, and each send charges exactly what it carries.
 Fp modes store results at once.  In byte-encoded mode every gate ends with
 a codebook barrier: ranks propose the values they produced, the proposals
 are merged identically everywhere, and only then are results encoded back
-into storage.  Byte mode has one gate path, on stored codes rather than
-values.  A gate combines 1, 2 or 4 components of the codes a rank reads
-(its slice, the region a diagonal gate scales, or the exchange's stacked
-buffer), and its result at a position depends only on the tuple of codes
-there.  So each rank keeps the distinct tuples and each position's tuple
-index, decodes those tuples, applies the gate to them through
-``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``, and
-canonicalizes and proposes the results once.  After the barrier, which
+into storage.  Byte mode has one gate path, on the 16-bit codes storage
+holds rather than on values.  A gate combines 1, 2 or 4 components of the
+codes a rank reads (its slice, the region a diagonal gate scales, or the
+exchange's stacked buffer), and its result at a position depends only on
+the tuple of codes there.  So each rank keeps the distinct tuples and each
+position's tuple index, decodes those tuples, applies the gate to them
+through ``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``,
+and canonicalizes and proposes the results once.  After the barrier, which
 stays per gate, it encodes the distinct results and scatters their codes
 back through the tuple indices.  Proposals depend only on the set of
 produced values, so tables and bytes are those of a whole-slice decode.
@@ -110,13 +110,13 @@ class RunResult:
         return self.report.relabelled(self.circuit.label_permutation)
 
 
-def run_circuit(circuit: Circuit, *, ranks: int = 1, local_qubits: int | None = None,
+def run_circuit(circuit: Circuit, *, ranks: int = 1,
                 mode: PrecisionMode = PrecisionMode.FP64,
                 tier_config: TierConfig | None = None,
                 rank_order_seed: int | None = None,
                 transport_factory=Transport) -> RunResult:
     validate_circuit(circuit)
-    layout = partition(circuit.n_qubits, ranks, local_qubits)
+    layout = partition(circuit.n_qubits, ranks)
     start = time.perf_counter()
     engine = _Engine(circuit, layout, mode, tier_config, rank_order_seed,
                      transport_factory)
@@ -202,11 +202,11 @@ class _Engine:
                 continue
             state = self.states[rank]
             if byte:
-                self._apply_codes(rank, gate, state.stack([state.views(where)]),
+                self._apply_codes(rank, gate, state.stack([state.view(where)]),
                                   qubits, [(rank, where)])
                 continue
-            for start in range(0, state.psi.size, block):
-                _apply_gate(state.psi[start:start + block], gate, qubits)
+            for start in range(0, state.data.size, block):
+                _apply_gate(state.data[start:start + block], gate, qubits)
         self._commit()
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:

@@ -7,13 +7,13 @@ high qubit, owns the local indices whose top k local bits not used by the
 operation read p: a ``(bits, values)`` part, viewed by ``kernels.bit_view``.
 
 Every member sends every other member that member's part, as a copy of its
-stored form (storage-dtype amplitudes, or the two codebook index arrays in
-byte mode), so each message charges exactly the bytes it carries.  Each
-member then stacks the 2**k aligned components of its own part, component c
-from the member at position c (its own straight from storage), into one
-buffer in which high qubit j is bit n_local - k + j: complex128 amplitudes
-in the fp modes, and in byte mode the 16-bit stored codes, so nothing is
-decoded here (``LocalState.stack``).
+stored array (storage-dtype amplitudes, or 16-bit codes in byte mode), so
+each message charges exactly the bytes it carries.  Each member then stacks
+the 2**k aligned components of its own part, component c from the member at
+position c (its own straight from storage), into one buffer in which high
+qubit j is bit n_local - k + j: complex128 amplitudes in the fp modes, and
+in byte mode the stored codes, so nothing is decoded here
+(``LocalState.stack``).
 Ranks are yielded one at a time, so a caller that stores as it goes holds
 one rank's buffer at once.
 """
@@ -60,6 +60,6 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits
         members = _group_members(rank, masks)
         own = parts[members.index(rank)]
         state = states[rank]
-        stacked = state.stack([state.views(own) if member == rank else
+        stacked = state.stack([state.view(own) if member == rank else
                                transport.recv(rank, member) for member in members])
         yield rank, members, own, stacked

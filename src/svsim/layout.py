@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gates as g
+from .circuit import MAX_QUBITS
 from .state import PrecisionMode
 
 GIB = 1 << 30
@@ -30,8 +31,8 @@ class PartitionLayout:
     local_qubits: int
 
     def __post_init__(self):
-        if self.total_qubits < 1:
-            raise ValueError("need at least one qubit")
+        if not 1 <= self.total_qubits <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
         if not 1 <= self.local_qubits <= self.total_qubits:
             raise ValueError(
                 f"local qubits {self.local_qubits} not in [1, {self.total_qubits}]")
@@ -118,22 +119,14 @@ class ExchangePlan:
         return self.element_count * self.bytes_per_element
 
 
-def partition(n_qubits: int, ranks: int, local_qubits: int | None = None) -> PartitionLayout:
+def partition(n_qubits: int, ranks: int) -> PartitionLayout:
     """Layout of ``n_qubits`` over ``ranks`` partitions.
 
-    ``local_qubits`` defaults to the qubits left after the rank bits; a given
-    value must make the layout cover exactly ``ranks`` partitions.
+    The qubits left after the rank bits are each partition's local qubits.
     """
     if ranks < 1 or ranks & (ranks - 1):
         raise ValueError("rank count must be a power of two")
-    if local_qubits is None:
-        local_qubits = n_qubits - (ranks.bit_length() - 1)
-    layout = PartitionLayout(n_qubits, local_qubits)
-    if layout.rank_count != ranks:
-        raise ValueError(
-            f"{ranks} ranks with {local_qubits} local qubits does not cover "
-            f"{n_qubits} qubits")
-    return layout
+    return PartitionLayout(n_qubits, n_qubits - (ranks.bit_length() - 1))
 
 
 def exchange_qubits(gate: g.Gate, n_local: int) -> tuple[int, ...]:

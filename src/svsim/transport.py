@@ -2,9 +2,9 @@
 
 Messages between a fixed (source, destination) pair are delivered in send
 order; collectives act as barriers because the engine drives all ranks in
-bulk-synchronous phases.  A payload is an array or a tuple of arrays, and a
-send charges the ledgers exactly the bytes it carries: a send whose charged
-byte count differs from its payload's size raises ``TransportError``.
+bulk-synchronous phases.  A payload is one array, and a send charges the
+ledgers exactly the bytes it carries: a send whose charged byte count
+differs from its payload's size raises ``TransportError``.
 
 Real network backends are out of scope, but the interface is small enough
 that one could be substituted: send/recv plus an order-insensitive
@@ -30,12 +30,10 @@ class Transport:
     def send(self, src: int, dst: int, payload, nbytes: int) -> None:
         if not (0 <= src < self.n_ranks and 0 <= dst < self.n_ranks) or src == dst:
             raise TransportError(f"invalid rank pair ({src}, {dst})")
-        carried = (payload.nbytes if hasattr(payload, "nbytes")
-                   else sum(part.nbytes for part in payload))
-        if carried != nbytes:
+        if payload.nbytes != nbytes:
             raise TransportError(
                 f"send from rank {src} to rank {dst} charges {nbytes} B "
-                f"but carries {carried} B")
+                f"but carries {payload.nbytes} B")
         self._mailboxes.setdefault((src, dst), deque()).append(payload)
         self.ledgers[src].count_send(nbytes)
         self.ledgers[dst].count_receive(nbytes)

@@ -17,6 +17,15 @@ def test_benchmark_rejects_small_registers():
         build_benchmark(7)
 
 
+def test_builders_reject_more_than_64_qubits():
+    assert build_benchmark(64).n_qubits == 64
+    assert build_adder(32, [1, 2])[0].n_qubits == 64
+    for build in (lambda: build_benchmark(65), lambda: build_benchmark(20000),
+                  lambda: build_adder(33, [1, 2]), lambda: build_adder(22, [1, 2, 3])):
+        with pytest.raises(ValueError, match="64"):
+            build()
+
+
 def test_benchmark_parity_determines_final_axes():
     # twice-hit qubits return to the ground state; once-hit ones sit along +x
     n = 12

@@ -60,6 +60,11 @@ def _stored(book: Codebook, pool: int, rng: np.random.Generator):
     return mags[pick].astype(np.uint8), phases[pick].astype(np.uint8)
 
 
+def _codes(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """The 16-bit stored codes of index arrays: magnitude x 256 + phase."""
+    return mag.astype(np.uint16) << 8 | phase
+
+
 def _engine(gate, ranks, book, mag, phase, order_seed, transport=Transport):
     engine = _Engine(Circuit(N_QUBITS, (gate,)), partition(N_QUBITS, ranks),
                      PrecisionMode.BYTE, None, order_seed, transport)
@@ -67,8 +72,8 @@ def _engine(gate, ranks, book, mag, phase, order_seed, transport=Transport):
         setattr(engine.codebook, attr, getattr(_copy(book), attr))
     size = engine.layout.local_size
     for rank, state in enumerate(engine.states):
-        state.mag_idx[...] = mag[rank * size:(rank + 1) * size]
-        state.phase_idx[...] = phase[rank * size:(rank + 1) * size]
+        at = slice(rank * size, (rank + 1) * size)
+        state.data[...] = _codes(mag[at], phase[at])
     return engine
 
 
@@ -127,8 +132,7 @@ def _check(kind, qubits, ranks, table, pool, seed, order_seed):
     size = engine.layout.local_size
     for rank, state in enumerate(engine.states):
         at = slice(rank * size, (rank + 1) * size)
-        assert state.mag_idx.tobytes() == want_mag[at].tobytes()
-        assert state.phase_idx.tobytes() == want_phase[at].tobytes()
+        assert state.data.tobytes() == _codes(want_mag[at], want_phase[at]).tobytes()
     got = engine.codebook
     assert got.dump() == want_book.dump()
     assert got.units.tobytes() == want_book.units.tobytes()
@@ -194,10 +198,9 @@ def test_byte_exchange_sends_the_stored_indices_of_the_receivers_part(kind, qubi
     for src, dst, payload, nbytes in sends:
         # the sender's bytes at the positions the receiver computes, ascending
         at = index[(index >> n_local == src) & (computing == dst)]
-        assert [part.dtype for part in payload] == [np.uint8, np.uint8]
-        assert payload[0].tobytes() == mag[at].tobytes()
-        assert payload[1].tobytes() == phase[at].tobytes()
-        assert nbytes == payload[0].nbytes + payload[1].nbytes
+        assert payload.dtype == np.uint16
+        assert payload.tobytes() == _codes(mag[at], phase[at]).tobytes()
+        assert nbytes == payload.nbytes
         assert nbytes == plan.bytes_per_rank // ((1 << len(plan.masks)) - 1)
     for ledger in engine.ledgers:
         assert ledger.inter_rank_bytes_sent == plan.bytes_per_rank

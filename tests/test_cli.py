@@ -40,6 +40,27 @@ def test_overflowing_matrix_is_a_parse_error_without_warnings(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("svsim: ")
 
 
+def test_a_qubit_count_above_64_is_a_parse_error(tmp_path, capsys):
+    assert parse_circuit("qubits 64\n").n_qubits == 64
+    with pytest.raises(ParseError, match="line 2: qubit count must be in"):
+        parse_circuit("# header\nqubits 65\n")
+    code, report = _run(tmp_path, "huge", "qubits 3000000\nH 0\nM\n")
+    assert code == 1 and report is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith("line 1: qubit count must be in [1, 64]")
+
+
+@pytest.mark.parametrize("spec", ["benchmark:65", "benchmark:5000", "benchmark:20000",
+                                  "adder:33:1:2", "adder:22:1:2:3"])
+def test_a_builder_above_64_qubits_is_a_bad_spec(spec, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--builder", spec])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"svsim: bad builder spec {spec!r}: ")
+    assert len(err[0]) < 120
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("run_circuit called before --out was checked")
@@ -74,11 +95,9 @@ def test_huge_phase_exponent_runs_as_the_identity(tmp_path, line):
 
 @pytest.mark.parametrize("argv", [
     ["--builder", "benchmark:8", "--ranks", "3"],
-    ["--builder", "benchmark:8", "--local-qubits", "9"],
     ["--builder", "benchmark:8", "--ranks", "1024", "--fast-bytes", "4096",
      "--chunk-bytes", "256"],
     ["--builder", "benchmark:8", "--ranks", "1024", "--optimize-labels"],
-    ["--builder", "benchmark:8", "--local-qubits", "-1", "--optimize-labels"],
     ["--builder", "benchmark:8", "--fast-bytes", "100000", "--chunk-bytes", "100"],
     ["--builder", "benchmark:8", "--fast-bytes", "4096", "--chunk-bytes", "4096"],
     ["--builder", "benchmark:40"],

@@ -307,15 +307,17 @@ def test_byte_diagonal_gate_matches_decode_multiply_encode(ranks, fill, seed, ki
     book = engine.codebook
     _fill(book, rng, fill)
     for state in engine.states:
-        size = state.mag_idx.size
-        state.mag_idx[:] = rng.integers(0, len(book.mags), size)
-        state.phase_idx[:] = rng.integers(0, len(book.thetas), size)
-        state.mag_idx[rng.random(size) < 0.3] = 0
-        state.phase_idx[state.mag_idx == 0] = 0
+        size = state.data.size
+        mag_idx = rng.integers(0, len(book.mags), size)
+        phase_idx = rng.integers(0, len(book.thetas), size)
+        mag_idx[rng.random(size) < 0.3] = 0
+        phase_idx[mag_idx == 0] = 0
+        state.data[:] = mag_idx << 8 | phase_idx
 
     # reference: decode each rank's whole region, multiply, propose, merge, encode
     ref = copy.deepcopy(book)
-    stored = [(s.mag_idx.copy(), s.phase_idx.copy()) for s in engine.states]
+    stored = [((s.data >> 8).astype(np.uint8), (s.data & 0xFF).astype(np.uint8))
+              for s in engine.states]
     n_local = layout.local_qubits
     local = tuple(q for q in gate.qubits if q < n_local)
     rank_bits = sum(1 << (q - n_local) for q in gate.qubits if q >= n_local)
@@ -334,5 +336,4 @@ def test_byte_diagonal_gate_matches_decode_multiply_encode(ranks, fill, seed, ki
     engine.run()
     assert _book_state(book) == _book_state(ref)
     for state, (mag_idx, phase_idx) in zip(engine.states, stored):
-        assert np.array_equal(state.mag_idx, mag_idx)
-        assert np.array_equal(state.phase_idx, phase_idx)
+        assert np.array_equal(state.data, mag_idx.astype(np.uint16) << 8 | phase_idx)

@@ -1,6 +1,7 @@
 import pytest
 
-from svsim import PartitionLayout, PrecisionMode, TrafficLedger, gates as g
+from svsim import (Circuit, PartitionLayout, PrecisionMode, TrafficLedger, gates as g,
+                   run_circuit)
 from svsim.layout import gibibytes_exchanged, memory_bytes, plan_exchange
 
 GIB = 1 << 30
@@ -27,6 +28,15 @@ def test_layout_validation():
     layout = PartitionLayout(40, 32)
     assert layout.rank_count == 256
     assert layout.local_size == 1 << 32
+
+
+def test_layout_bounds_the_qubit_count():
+    assert PartitionLayout(64, 60).rank_count == 16
+    for total in (65, 3_000_000):
+        with pytest.raises(ValueError, match=r"qubit count must be in \[1, 64\]"):
+            PartitionLayout(total, total)
+    with pytest.raises(ValueError, match="qubit count"):
+        run_circuit(Circuit(65, ()))
 
 
 def test_plan_high_single_qubit_gate():

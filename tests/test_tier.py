@@ -103,7 +103,7 @@ def test_tiered_run_bitwise_identical_fp64(rng):
     config = TierConfig(state_bytes // 4, state_bytes // 64)
     plain = run_circuit(circuit)
     tiered = run_circuit(circuit, tier_config=config)
-    assert np.array_equal(plain.states[0].psi, tiered.states[0].psi)
+    assert np.array_equal(plain.states[0].data, tiered.states[0].data)
     assert plain.report == tiered.report
     assert tiered.total_tier_bytes > 0
 
@@ -115,7 +115,7 @@ def test_tiered_distributed_equivalence(rng):
     plain = run_circuit(circuit, ranks=4)
     tiered = run_circuit(circuit, ranks=4, tier_config=config)
     for a, b in zip(plain.states, tiered.states):
-        assert np.array_equal(a.psi, b.psi)
+        assert np.array_equal(a.data, b.data)
     assert plain.total_bytes_sent == tiered.total_bytes_sent
 
 
