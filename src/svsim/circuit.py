@@ -43,6 +43,9 @@ class Circuit:
     label_permutation: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # before anything of the register's size is built
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
         if not self.label_permutation:
             object.__setattr__(self, "label_permutation", tuple(range(self.n_qubits)))
 

@@ -39,6 +39,17 @@ plan per gate, the run's peak memory (``layout.peak_bytes``) against the
 machine's physical memory, and the tier staging, replayed once because it
 is the same on every rank.  A layout, memory or tier error therefore raises
 before the first amplitude is allocated or the first byte is sent.
+
+In the fp modes the plan also sizes the run's scratch memory, created with
+its states and dropped with them, so no gate, exchange or measurement
+allocates anything of a slice's size.  The workspace, one complex128 array,
+holds the largest working set of any gate or measurement: a kernel's
+gathered components, accumulator, term buffer or saved half on a block, an
+exchange's stacked rows followed by its kernel's buffers, or measurement's
+squares and buffer.  The outbox, one storage-dtype array, holds the largest
+exchange's queued payloads, and every exchange carves its payloads from it
+again.  Byte mode computes on distinct code tuples that its codec allocates,
+and takes neither.
 """
 from __future__ import annotations
 
@@ -54,17 +65,28 @@ from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, stacked_qubits
 from .kernels import (apply_diagonal, apply_pair_arrays, apply_quad_arrays,
-                      apply_single, apply_two, components)
-from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, partition,
-                     peak_bytes, plan_exchange)
-from .measure import ExpectationReport, measure_all
+                      apply_single, apply_two, components, work_elements)
+from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, exchanged_elements,
+                     partition, peak_bytes, plan_exchange)
+from .measure import ExpectationReport, measure_all, work_elements as measure_work_elements
 from .state import LocalState, PrecisionMode
 from .tier import TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
 
-# amplitudes per matrix-kernel call on the local path: 2**13 measured faster
-# per amplitude than whole-slice calls; diagonal gates are not blocked
-LOCAL_BLOCK = 1 << 13
+# Amplitudes per matrix-kernel call on the local path; diagonal gates are not
+# blocked.  Medians of run_circuit in seconds, with the kernels' buffers in the
+# run's workspace and block sizes interleaved in shuffled order (2 CPUs with
+# 4 MiB of L2 each, Python 3.11, numpy 2.4; the bench workloads, whose slices
+# hold 2**16 and 2**20 amplitudes):
+#
+#   block                        2**13  2**14  2**15  2**16  slice
+#   hadamard-fp32-r16, 16 runs   0.257  0.233  0.226  0.253  0.248
+#   adder-fp64-r1-tier, 16 runs  0.304  0.282  0.292  0.329  0.395
+#   hadamard-fp32-r16, 24 runs   0.309  0.287  0.286
+#   adder-fp64-r1-tier, 24 runs  0.347  0.329  0.327
+#
+# 2**14 and 2**15 beat 2**13 on both; 2**14 holds the smaller working set.
+LOCAL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -155,11 +177,40 @@ class _Engine:
             LocalState.zero_state(layout.local_qubits, mode, r == 0, self.codebook)
             for r in range(n)
         ]
+        self.work = self.outbox = None
+        if self.codebook is None:
+            self.work, self.outbox = self._workspace(mode)
         self.rank_order = list(range(n))
         if rank_order_seed is not None:
             random.Random(rank_order_seed).shuffle(self.rank_order)
         self.report: ExpectationReport | None = None
         self._proposals, self._pending = {}, []
+
+    def _workspace(self, mode: PrecisionMode) -> tuple[np.ndarray, np.ndarray]:
+        """The run's complex128 workspace and storage-dtype outbox.
+
+        The workspace holds the largest working set of any gate or
+        measurement: a kernel's buffers on a local block, an exchange's
+        stacked rows and its kernel's buffers, or measurement's.  The outbox
+        holds the payloads of the largest exchange, a measured rank qubit's
+        included.
+        """
+        n_local, size = self.layout.local_qubits, self.layout.local_size
+        work, queued = 0, 0
+        for gate, plan in zip(self.circuit.gates, self.plans):
+            if gate.kind == "M":
+                work = max(work, measure_work_elements(self.layout, mode))
+                if self.layout.rank_count > 1:
+                    queued = max(queued, exchanged_elements(size, 1))
+            elif plan.kind != "none":
+                qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
+                work = max(work, size + work_elements(size, qubits))
+                queued = max(queued, plan.element_count)
+            elif not g.is_diagonal(gate):
+                block = min(max(2 << max(gate.qubits), LOCAL_BLOCK), size)
+                work = max(work, work_elements(block, gate.qubits, mode.dtype))
+        return (np.empty(work, dtype=np.complex128),
+                np.empty(queued * self.layout.rank_count, dtype=mode.dtype))
 
     def run(self) -> None:
         for ordinal, (gate, plan) in enumerate(zip(self.circuit.gates, self.plans)):
@@ -172,7 +223,7 @@ class _Engine:
         try:
             if gate.kind == "M":
                 self.report = measure_all(self.states, self.layout, self.transport,
-                                          self.rank_order)
+                                          self.rank_order, self.work, self.outbox)
             elif plan.kind == "none":
                 self._apply_local(gate)
             else:
@@ -206,18 +257,19 @@ class _Engine:
                                   qubits, [(rank, where)])
                 continue
             for start in range(0, state.data.size, block):
-                _apply_gate(state.data[start:start + block], gate, qubits)
+                _apply_gate(state.data[start:start + block], gate, qubits, self.work)
         self._commit()
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
         qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
         for rank, members, own, stacked in group_exchange(
-                self.states, self.transport, plan.masks, self.rank_order, gate.qubits):
+                self.states, self.transport, plan.masks, self.rank_order, gate.qubits,
+                self.work, self.outbox):
             writes = [(member, own) for member in members]
             if self.codebook is not None:
                 self._apply_codes(rank, gate, stacked, qubits, writes)
                 continue
-            _apply_gate(stacked.reshape(-1), gate, qubits)
+            _apply_gate(stacked.reshape(-1), gate, qubits, self.work[stacked.size:])
             for (owner, where), row in zip(writes, stacked):
                 self.states[owner].store(row, where)
         self._commit()
@@ -294,12 +346,16 @@ def _apply_arrays(gate: g.Gate, values: np.ndarray):
     return apply_quad_arrays(list(values), g.unitary_matrix(gate))
 
 
-def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...]) -> None:
-    """Apply ``gate`` in place with its qubits at the given bits of ``psi``."""
+def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...], work) -> None:
+    """Apply ``gate`` in place with its qubits at the given bits of ``psi``.
+
+    A matrix kernel's buffers are carved from ``work``; a diagonal gate
+    scales a view and needs none.
+    """
     if g.is_diagonal(gate):
         apply_diagonal(psi, qubits, g.diagonal_factor(gate))
     elif len(qubits) == 1:
-        apply_single(psi, qubits[0], g.unitary_matrix(gate))
+        apply_single(psi, qubits[0], g.unitary_matrix(gate), work=work)
     else:
-        apply_two(psi, qubits[0], qubits[1], g.unitary_matrix(gate))
+        apply_two(psi, qubits[0], qubits[1], g.unitary_matrix(gate), work=work)
 

@@ -16,6 +16,13 @@ in byte mode the stored codes, so nothing is decoded here
 (``LocalState.stack``).
 Ranks are yielded one at a time, so a caller that stores as it goes holds
 one rank's buffer at once.
+
+A run's exchanges need not allocate.  Payloads are then carved in send order
+from ``outbox``, a flat storage-dtype array that holds one exchange's queued
+payloads; every payload has been received and stacked by the time the
+generator finishes, so the next exchange reuses the same memory.  The
+stacked rows are the front of ``work``, the run's complex128 workspace, and
+the caller computes on the rest of it.
 """
 from __future__ import annotations
 
@@ -39,27 +46,36 @@ def stacked_qubits(qubits, n_local: int, masks: tuple[int, ...]) -> tuple[int, .
                  else q if q < low else q - k for q in qubits)
 
 
-def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits=()):
+def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits=(),
+                   work=None, outbox=None):
     """Yield (rank, members, own part, stacked components) per visited rank.
 
     ``qubits`` are the operation's qubits; local ones are kept out of the
     bits that select a part.  Every payload is copied and sent before the
     first rank is yielded, and a rank reads only its own part, so a caller
-    may store a yielded rank's results into all its members at once.
+    may store a yielded rank's results into all its members at once.  With
+    ``outbox`` the payloads are its consecutive parts, so the previous
+    exchange's must all have been received.
     """
     n_local, k = states[0].n_local, len(masks)
     low = _low_part_bit(n_local, masks, qubits)
     bits = tuple(range(low, low + k))
     parts = [(bits, tuple(p >> j & 1 for j in range(k))) for p in range(1 << k)]
-    nbytes = (1 << (n_local - k)) * states[0].mode.bytes_per_element
+    count = 1 << (n_local - k)
+    nbytes = count * states[0].mode.bytes_per_element
+    if outbox is not None:
+        transport.assert_drained()
+    sent = 0
     for rank in rank_order:
         for p, member in enumerate(_group_members(rank, masks)):
             if member != rank:
-                transport.send(rank, member, states[rank].payload(parts[p]), nbytes)
+                out = None if outbox is None else outbox[sent:sent + count]
+                sent += count
+                transport.send(rank, member, states[rank].payload(parts[p], out), nbytes)
     for rank in rank_order:
         members = _group_members(rank, masks)
         own = parts[members.index(rank)]
         state = states[rank]
         stacked = state.stack([state.view(own) if member == rank else
-                               transport.recv(rank, member) for member in members])
+                               transport.recv(rank, member) for member in members], work)
         yield rank, members, own, stacked

@@ -15,19 +15,27 @@ m[r,0]*a0 + m[r,1]*a1 (+ m[r,2]*a2 + m[r,3]*a3), summed left to right, and
 every product keeps the matrix entry first, because numpy's complex
 multiply is not commutative bit for bit (``np.multiply(v, m)`` differs from
 ``m * v`` on Haar matrices).  IEEE addition is, so a two-term sum may swap
-its operands.  The kernels compute in place, into buffers allocated once
-per call, with no copy or temporary per term.  ``apply_single`` and
-``apply_two`` gather their components once into contiguous complex128
-buffers, accumulate each row in one buffer with one term buffer, and store
-it.  When a pair's halves are contiguous complex128 storage,
-``apply_single`` instead copies only the half it overwrites before its last
-read and takes every product in place.  The ``*_arrays`` kernels compute
+its operands.  The kernels compute in place, with no copy or temporary per
+term.  ``apply_single`` and ``apply_two`` gather their components once into
+contiguous complex128 buffers, accumulate each row in one buffer with one
+term buffer, and store it.  When a pair's halves are contiguous complex128
+storage, ``apply_single`` instead copies only the half it overwrites before
+its last read and takes every product in place.
+
+Those buffers are the kernels' only transients.  A caller that passes
+``work``, a 1-D complex128 array of at least ``work_elements`` elements,
+has them carved from its front, so the call allocates nothing: the engine
+passes the run's one workspace.  Without ``work`` each call allocates its
+own.  The bits are the same either way.  The ``*_arrays`` kernels compute
 the same expressions, value by value, into new buffers; byte mode applies
 them to the distinct stored code tuples of a gate's ``components``.
 ``pair_indices`` has no caller in the package; it stays as a tested public
 kernel that the benchmark's tracer wraps by name.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -50,15 +58,23 @@ def bit_view(a: np.ndarray, bits=(), values=None) -> np.ndarray:
     """
     if a.ndim != 1:
         raise ValueError(f"bit_view needs a 1-D array, not shape {a.shape}")
+    shape, index = _split(a.size, tuple(bits), None if values is None else tuple(values))
+    return a.reshape(shape)[index]
+
+
+# a bench workload's run asks for 64-166 distinct views
+@functools.lru_cache(maxsize=1024)
+def _split(size: int, bits: tuple, values: tuple | None):
+    """``bit_view``'s reshape shape and index for an array of ``size``."""
     fixed = zip(bits, (1,) * len(bits) if values is None else values)
-    shape, index, span = [], [], a.size
+    shape, index, span = [], [], size
     for b, v in sorted(fixed, reverse=True):
         if b < 0 or (2 << b) > span:
-            raise IndexError(f"bits {tuple(bits)} outside an array of {a.size}")
+            raise IndexError(f"bits {bits} outside an array of {size}")
         shape += [span >> (b + 1), 2]
         index += [slice(None), v]
         span = 1 << b
-    return a.reshape(shape + [span])[tuple(index) + (slice(None),)]
+    return tuple(shape) + (span,), tuple(index) + (slice(None),)
 
 
 def _combine(row, xs, acc, term) -> None:
@@ -75,20 +91,51 @@ def _combine(row, xs, acc, term) -> None:
         acc += term
 
 
-def _update(views: list[np.ndarray], matrix: np.ndarray) -> None:
+def _carve(work, count: int, shape) -> list[np.ndarray]:
+    """``count`` complex128 buffers of ``shape``: consecutive parts of ``work``, or new."""
+    if work is None:
+        return [np.empty(shape, dtype=np.complex128) for _ in range(count)]
+    n = math.prod(shape)
+    return [work[i * n:(i + 1) * n].reshape(shape) for i in range(count)]
+
+
+def _halves_in_place(size: int, q: int, dtype) -> bool:
+    """Whether ``apply_single`` updates a pair's halves in place, not gathered.
+
+    Halves of one element are gathered: numpy rounds a one-element product
+    written over its own input differently.
+    """
+    return dtype == np.complex128 and 2 << q == size and q > 0
+
+
+def work_elements(size: int, qubits: tuple[int, ...], dtype=np.complex128) -> int:
+    """Complex128 elements of ``work`` a matrix kernel takes on an array of ``size``.
+
+    ``qubits`` are the gate's bits of the array: one for ``apply_single``,
+    two for ``apply_two``.  Gathered components fill ``size`` elements and
+    the accumulator and term buffer one component each; halves updated in
+    place need the saved half and one term buffer.
+    """
+    if len(qubits) == 1 and _halves_in_place(size, qubits[0], dtype):
+        return size
+    return size + 2 * (size >> len(qubits))
+
+
+def _update(views: list[np.ndarray], matrix: np.ndarray, work=None) -> None:
     """Apply ``matrix`` across aligned component views in place, row i into view i.
 
     The components are gathered once into contiguous complex128 rows; each
     matrix row accumulates in one buffer and is stored, rounding once.
     """
-    xs = [view.astype(np.complex128) for view in views]
-    acc, term = np.empty_like(xs[0]), np.empty_like(xs[0])
+    *xs, acc, term = _carve(work, len(views) + 2, views[0].shape)
+    for x, view in zip(xs, views):
+        np.copyto(x, view)
     for row, view in zip(matrix, views):
         _combine(row, xs, acc, term)
         view[...] = acc
 
 
-def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray) -> None:
+def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray, work=None) -> None:
     """In-place 2x2 update of all (i, i + 2**q) pairs.
 
     A complex128 array whose top bit is q is updated half by half in place:
@@ -97,26 +144,26 @@ def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray) -> None:
     through its gathered components.
     """
     views = [bit_view(psi, (q,), (0,)), bit_view(psi, (q,))]
-    if psi.dtype != np.complex128 or 2 << q != psi.size or q == 0:
-        _update(views, matrix)
+    if not _halves_in_place(psi.size, q, psi.dtype):
+        _update(views, matrix, work)
         return
-    # complex128 halves of more than one element: each product overwrites an
-    # operand it alone reads, and row 1's two-term sum swaps its operands so
-    # that v1 comes first
+    # each product overwrites an operand it alone reads, and row 1's two-term
+    # sum swaps its operands so that v1 comes first
     v0, v1 = views
-    a0 = v0.copy()
-    _combine(matrix[0], views, v0, np.empty_like(a0))
+    a0, term = _carve(work, 2, v0.shape)
+    np.copyto(a0, v0)
+    _combine(matrix[0], views, v0, term)
     _combine(matrix[1, ::-1], (v1, a0), v1, a0)
 
 
-def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray) -> None:
+def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray, work=None) -> None:
     """In-place 4x4 update of all quadruples spanned by qubits qa and qb.
 
     Matrix basis: index = bit(qa) + 2 * bit(qb).
     """
     if qa == qb:
         raise ValueError("two-qubit gate requires distinct qubits")
-    _update(components(psi, (qa, qb)), matrix)
+    _update(components(psi, (qa, qb)), matrix, work)
 
 
 def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex) -> None:

@@ -77,7 +77,14 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     place, at most two more copies: the gathered components with one
     accumulator and one term buffer, or half a slice saved and one term
     buffer when the pair's halves are contiguous complex128.  A diagonal gate
-    scales a view in place.
+    scales a view in place.  Measurement holds a slice's squared magnitudes,
+    one half-slice buffer and, unless storage is complex128, the decoded
+    slice: at most 2 copies.
+
+    In the fp modes that budget pays for memory a run holds from start to
+    end: the queued term for the outbox every exchange carves its payloads
+    from, and the 4 copies for the workspace, sized to the largest of those
+    working sets (at most 2.5 copies: an exchanged two-qubit gate).
 
     Byte mode adds the writes every rank holds until the codebook barrier,
     ``HELD_WRITE_BYTES`` per amplitude of the state at worst: each code

@@ -15,7 +15,8 @@ complex128 amplitudes in the fp modes, and in BYTE mode the stored codes as
 they are.  A byte-mode gate's result at a position depends only on the codes
 it combines, so the engine works on distinct code tuples and decodes
 (``values``) and encodes (``encode``) only those; ``store`` takes codes
-back.  A BYTE partition holds the run's one ``Codebook``, shared by every
+back.  A caller may pass the memory that stacked rows and payloads fill, so
+that a run stacks and sends without allocating.  A BYTE partition holds the run's one ``Codebook``, shared by every
 partition, and decodes and encodes through it; callers pass no codebook.
 """
 from __future__ import annotations
@@ -38,6 +39,11 @@ class PrecisionMode(enum.Enum):
         """What storage holds per amplitude: a complex value, or BYTE's code."""
         return np.dtype({PrecisionMode.FP64: np.complex128, PrecisionMode.FP32: np.complex64,
                          PrecisionMode.BYTE: np.uint16}[self])
+
+    @property
+    def row_dtype(self) -> np.dtype:
+        """What ``LocalState.stack`` rows hold: complex128, or BYTE's stored codes."""
+        return np.dtype(np.uint16 if self is PrecisionMode.BYTE else np.complex128)
 
     @property
     def bytes_per_element(self) -> int:
@@ -88,18 +94,42 @@ class LocalState:
         """Decoded complex128 copy of the slice, or of its ``where`` part."""
         return self.values(self.stack([self.view(where)]))[0]
 
-    def payload(self, where) -> np.ndarray:
-        """Copy of the stored array at ``where``: what an exchange sends."""
-        return self.view(where).flatten()
+    def amplitudes(self, work=None) -> np.ndarray:
+        """The slice's complex128 amplitudes, to be read and not written.
 
-    def stack(self, parts) -> np.ndarray:
+        Complex128 storage is returned as it is.  Other storage is decoded:
+        stacked in the front of ``work``, as ``stack`` takes it, so fp32
+        allocates nothing there, and BYTE codes decode into a new array.
+        """
+        if self.data.dtype == np.complex128:
+            return self.data
+        return self.values(self.stack([self.view()], work))[0]
+
+    def payload(self, where, out=None) -> np.ndarray:
+        """Copy of the stored array at ``where``: what an exchange sends.
+
+        ``out``, a 1-D storage-dtype array of the part's size, receives the
+        copy; without it the copy is new.
+        """
+        view = self.view(where)
+        if out is None:
+            return view.flatten()
+        out.reshape(view.shape)[...] = view
+        return out
+
+    def stack(self, parts, work=None) -> np.ndarray:
         """What a gate computes on: one row per part, in ascending index order.
 
         A part is what ``view`` or ``payload`` gives.  Rows hold complex128
         amplitudes in the fp modes and the stored 16-bit codes in BYTE mode.
+        They are new, or the front of ``work``, a 1-D complex128 workspace
+        viewed as the row dtype.
         """
-        rows = np.empty((len(parts), parts[0].size),
-                        dtype=np.uint16 if self.mode is PrecisionMode.BYTE else np.complex128)
+        shape = (len(parts), parts[0].size)
+        if work is None:
+            rows = np.empty(shape, dtype=self.mode.row_dtype)
+        else:
+            rows = work.view(self.mode.row_dtype)[:shape[0] * shape[1]].reshape(shape)
         for row, part in zip(rows, parts):
             row.reshape(part.shape)[...] = part
         return rows

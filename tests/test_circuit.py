@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -156,3 +158,15 @@ def test_validate_circuit_names_offending_gate():
     with pytest.raises(ValueError, match=r"gate 1 \(U2\)"):
         bad = np.array([[1, 0], [0, 2]], dtype=complex)
         validate_circuit(Circuit(2, (g.h(0), g.Gate("U2", (1,), matrix=bad))))
+
+
+def test_a_circuit_outside_the_qubit_bound_is_refused_before_it_is_built():
+    for n in (0, 65, 30_000_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"qubit count must be in \[1, 64\]"):
+                Circuit(n, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, n

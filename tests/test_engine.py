@@ -385,3 +385,45 @@ def test_stored_state_is_bit_identical_across_ranks_order_and_tiering(seed, mode
                     None if book is None else (book.dump(), book.units.tobytes()))
     reference = outcomes[1, False, None]
     assert [key for key, outcome in outcomes.items() if outcome != reference] == []
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_a_result_keeps_no_workspace_or_outbox(rng, mode):
+    # a pairwise and a quad exchange, local gates and a measured rank qubit
+    n, ranks = 14, 4
+    circuit = Circuit(n, (g.h(0), g.h(13), g.u4(12, 13, haar_unitary(rng, 4)),
+                          g.u4(1, 7, haar_unitary(rng, 4)), g.measure_all()))
+    storage = memory_bytes(n, mode)
+    run_circuit(circuit, ranks=ranks, mode=mode)  # fills the view cache
+    held = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            result = run_circuit(circuit, ranks=ranks, mode=mode)
+            held.append(tracemalloc.get_traced_memory()[0])
+            del result
+    finally:
+        tracemalloc.stop()
+    # the outbox alone holds 3/4 of the storage
+    assert max(held) < storage + storage // 8
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_payloads_are_copies_from_one_outbox_of_one_exchange(rng, mode):
+    payloads = []
+
+    class Keeping(Transport):
+        def send(self, src, dst, payload, nbytes):
+            payloads.append(payload)
+            super().send(src, dst, payload, nbytes)
+
+    n, ranks = 10, 8
+    circuit = Circuit(n, (g.h(9), g.u4(8, 9, haar_unitary(rng, 4)), g.cnot(7, 3),
+                          g.u4(0, 8, haar_unitary(rng, 4)), g.measure_all()))
+    result = run_circuit(circuit, ranks=ranks, mode=mode, transport_factory=Keeping)
+    assert len(payloads) == result.total_messages
+    assert not any(np.shares_memory(p, s.data) for p in payloads for s in result.states)
+    outboxes = {id(p.base): p.base for p in payloads}
+    assert len(outboxes) == 1
+    # the largest exchange queues 3/4 of the state: the quad gates'
+    assert [box.nbytes for box in outboxes.values()] == [memory_bytes(n, mode) * 3 // 4]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -272,11 +274,11 @@ def reference_update(psi, bits, matrix):
     return expected
 
 
-def apply_matrix(psi, bits, matrix):
+def apply_matrix(psi, bits, matrix, work=None):
     if len(bits) == 1:
-        kernels.apply_single(psi, bits[0], matrix)
+        kernels.apply_single(psi, bits[0], matrix, work=work)
     else:
-        kernels.apply_two(psi, bits[0], bits[1], matrix)
+        kernels.apply_two(psi, bits[0], bits[1], matrix, work=work)
 
 
 @given(st.data())
@@ -324,7 +326,73 @@ def test_one_element_components_keep_the_parent_arithmetic(rng, dtype):
     for _ in range(20):
         for bits in ((0,), (1, 0)):
             matrix = haar_unitary(rng, 2 << (len(bits) - 1))
-            psi = signed_zero_state(int(rng.integers(2**32)), len(bits), dtype)
-            expected = reference_update(psi, bits, matrix)
-            apply_matrix(psi, bits, matrix)
-            assert psi.tobytes() == expected.tobytes()
+            state = signed_zero_state(int(rng.integers(2**32)), len(bits), dtype)
+            expected = reference_update(state, bits, matrix)
+            size = kernels.work_elements(state.size, bits, dtype)
+            for work in (None, np.full(size, np.nan + 0j)):
+                psi = state.copy()
+                apply_matrix(psi, bits, matrix, work)
+                assert psi.tobytes() == expected.tobytes()
+
+
+def workspace_cases(rng):
+    """(n, bits, matrix) over 2**1-2**16 amplitudes: every q, and sampled (qa, qb)."""
+    for n in range(1, 17):
+        for q in range(n):
+            for matrix in (g.H_MATRIX, g.X_MATRIX, haar_unitary(rng, 2)):
+                yield n, (q,), matrix
+        if n >= 2:
+            pairs = {(0, n - 1), (n - 1, 0)}
+            pairs |= {tuple(int(b) for b in rng.choice(n, 2, replace=False)) for _ in range(3)}
+            for bits in sorted(pairs):
+                for matrix in (g.CNOT_MATRIX, haar_unitary(rng, 4)):
+                    yield n, bits, matrix
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_kernels_in_a_workspace_match_the_allocating_call_bit_for_bit(rng, dtype):
+    for n, bits, matrix in workspace_cases(rng):
+        psi = signed_zero_state(int(rng.integers(2**32)), n, dtype)
+        expected = psi.copy()
+        apply_matrix(expected, bits, matrix)
+        # a workspace larger than needed, at an offset, holding stale values
+        size = kernels.work_elements(psi.size, bits, dtype)
+        work = np.full(size + 5, np.nan + 1j * np.inf)[3:]
+        apply_matrix(psi, bits, matrix, work)
+        assert psi.tobytes() == expected.tobytes(), (n, bits)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_kernels_in_a_workspace_allocate_nothing_of_the_array_size(rng, dtype):
+    n = 16
+    for bits in [(q,) for q in range(n)] + [(0, n - 1), (n - 1, 0), (3, 9)]:
+        psi = signed_zero_state(int(rng.integers(2**32)), n, dtype)
+        matrix = haar_unitary(rng, 2 << (len(bits) - 1))
+        work = np.empty(kernels.work_elements(psi.size, bits, dtype), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            apply_matrix(psi, bits, matrix, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < psi.nbytes // 16, bits
+
+
+def test_a_workspace_too_small_is_refused(rng):
+    psi = random_state(rng, 6)
+    short = np.empty(kernels.work_elements(psi.size, (2,)) - 1, dtype=np.complex128)
+    with pytest.raises(ValueError):
+        kernels.apply_single(psi, 2, g.H_MATRIX, work=short)
+
+
+def test_bit_view_is_the_same_view_on_every_call():
+    base = np.arange(64, dtype=np.complex128)
+    for bits, values in (((), None), ((3,), None), ((0, 5), (1, 0)), ((4, 1), [0, 1])):
+        views = [kernels.bit_view(base, bits, values) for _ in range(3)]
+        for view in views:
+            assert view.base is views[0].base
+            assert view.__array_interface__ == views[0].__array_interface__
+    with pytest.raises(IndexError):
+        kernels.bit_view(base, (6,))
+    with pytest.raises(IndexError):  # an error is raised again, not remembered
+        kernels.bit_view(base, (6,))

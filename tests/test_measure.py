@@ -1,4 +1,10 @@
-from svsim import Circuit, PrecisionMode, gates as g, oracle_run, run_circuit
+import numpy as np
+import pytest
+
+from svsim import Circuit, PrecisionMode, gates as g, measure, oracle_run, run_circuit
+from svsim.kernels import bit_view
+from svsim.layout import PartitionLayout
+from svsim.state import LocalState
 
 
 def test_all_ones_state_reads_half_half_one():
@@ -92,3 +98,34 @@ def test_expectations_stay_in_unit_interval(rng):
         _, report = oracle_run(circuit)
         for seq in (report.qx, report.qy, report.qz):
             assert all(-1e-9 <= v <= 1 + 1e-9 for v in seq)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_slice_squares_give_the_per_qubit_sums_bit_for_bit(rng, mode):
+    # the sums as measurement took them from fresh arrays, qubit by qubit
+    # small slices are drawn often: one-element products round differently in place
+    for n in [1] * 10 + [2] * 5 + list(range(3, 15)):
+        state = LocalState(n, mode)
+        state.data[...] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        layout = PartitionLayout(n, n)
+        work = np.full(measure.work_elements(layout, mode), np.nan + 0j)
+        norm, ones, cross = measure._local_sums(
+            state.amplitudes(work[layout.local_size:]), n, work[:layout.local_size])
+        amps = state.working()
+        assert _bits(norm) == _bits(float(np.real(np.vdot(amps, amps))))
+        for q in range(n):
+            a0, a1 = bit_view(amps, (q,), (0,)), bit_view(amps, (q,))
+            assert _bits(ones[q]) == _bits(float(np.sum(np.abs(a1) ** 2))), (n, q)
+            assert _bits(cross[q]) == _bits(complex(np.sum(a0.conj() * a1))), (n, q)
+
+
+def test_a_stacked_pair_gives_the_cross_sum_bit_for_bit(rng):
+    for n in [0] * 20 + list(range(1, 14)):
+        a0, a1 = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+        buffer = np.full(a0.size + 3, np.nan + 0j)[3:]
+        expected = complex(np.sum(a0.conj() * a1))
+        assert _bits(measure._cross(a0, a1, buffer)) == _bits(expected), n
