@@ -10,8 +10,7 @@ from .builders import build_adder, build_benchmark, decode_register
 from .circuit import Circuit, ParseError, RegisterMap, parse_circuit, serialize_circuit
 from .codec import Codebook, canonicalize
 from .engine import RunResult, run_circuit
-from .layout import (ExchangePlan, PartitionLayout, TrafficLedger,
-                     gibibytes_exchanged, memory_bytes, plan_exchange)
+from .layout import ExchangePlan, PartitionLayout, TrafficLedger, memory_bytes, plan_exchange
 from .measure import ExpectationReport, measure_all
 from .optimize import optimize_labels, predicted_exchange_bytes, relabel
 from .oracle import DenseState, dense_expectations, oracle_run
@@ -28,8 +27,7 @@ __all__ = [
     "Circuit", "ParseError", "RegisterMap", "parse_circuit", "serialize_circuit",
     "Codebook", "canonicalize",
     "RunResult", "run_circuit",
-    "ExchangePlan", "PartitionLayout", "TrafficLedger",
-    "gibibytes_exchanged", "memory_bytes", "plan_exchange",
+    "ExchangePlan", "PartitionLayout", "TrafficLedger", "memory_bytes", "plan_exchange",
     "ExpectationReport", "measure_all",
     "optimize_labels", "predicted_exchange_bytes", "relabel",
     "DenseState", "dense_expectations", "oracle_run",

@@ -46,9 +46,9 @@ allocates anything of a slice's size.  The workspace, one complex128 array,
 holds the largest working set of any gate or measurement: a kernel's
 gathered components, accumulator, term buffer or saved half on a block, an
 exchange's stacked rows followed by its kernel's buffers, or measurement's
-squares and buffer.  The outbox, one storage-dtype array, holds the largest
-exchange's queued payloads, and every exchange carves its payloads from it
-again.  Byte mode computes on distinct code tuples that its codec allocates,
+squares and their sums.  The outbox, one storage-dtype array, holds the
+largest exchange's queued payloads, and every exchange carves its payloads
+from it again.  Byte mode computes on distinct code tuples that its codec allocates,
 and takes neither.
 """
 from __future__ import annotations
@@ -314,12 +314,15 @@ def _distinct_tuples(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the tuples as a ``(len(parts), D)`` array and, in the shape of a
     part, each position's column in it, in the smallest unsigned type that
-    holds D - 1.  One part keys on its 16-bit codes, mapped through a
-    65536-entry table; wider tuples pack into one 32- or 64-bit key and
-    take a sorting unique.
+    holds D - 1.  One part needs no sort: a 65536-entry presence table lists
+    its distinct 16-bit codes in ascending order, and a second maps each to
+    its column.  Wider tuples pack into one 32- or 64-bit key and take a
+    sorting unique.
     """
     if len(parts) == 1:
-        distinct = np.unique(parts[0])
+        present = np.zeros(1 << 16, dtype=bool)
+        present[parts[0]] = True
+        distinct = np.flatnonzero(present).astype(np.uint16)
         table = np.empty(1 << 16, dtype=np.min_scalar_type(distinct.size - 1))
         table[distinct] = np.arange(distinct.size)
         return distinct[None], table[parts[0]]

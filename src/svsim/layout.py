@@ -22,8 +22,6 @@ from . import gates as g
 from .circuit import MAX_QUBITS
 from .state import PrecisionMode
 
-GIB = 1 << 30
-
 
 @dataclass(frozen=True)
 class PartitionLayout:
@@ -77,9 +75,10 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     place, at most two more copies: the gathered components with one
     accumulator and one term buffer, or half a slice saved and one term
     buffer when the pair's halves are contiguous complex128.  A diagonal gate
-    scales a view in place.  Measurement holds a slice's squared magnitudes,
-    one half-slice buffer and, unless storage is complex128, the decoded
-    slice: at most 2 copies.
+    scales a view in place.  Measurement holds a slice's squared magnitudes
+    (half a copy), their column and row sums and, unless storage is
+    complex128, the decoded slice; a measured rank qubit holds its stacked
+    pair: at most 2 copies.
 
     In the fp modes that budget pays for memory a run holds from start to
     end: the queued term for the outbox every exchange carves its payloads
@@ -185,8 +184,3 @@ class TrafficLedger:
 
     def snapshot(self) -> dict:
         return dict(self.__dict__)
-
-
-def gibibytes_exchanged(ledger: TrafficLedger) -> int:
-    """Data sent plus received by one rank, in integer GiB as reported."""
-    return round((ledger.inter_rank_bytes_sent + ledger.inter_rank_bytes_received) / GIB)

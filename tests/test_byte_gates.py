@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from svsim import Circuit, Codebook, PrecisionMode, canonicalize, gates as g
 from svsim.codec import CAPACITY
-from svsim.engine import _Engine
+from svsim.engine import _Engine, _distinct_tuples
 from svsim.kernels import apply_diagonal, apply_single, apply_two
 from svsim.layout import partition, plan_exchange
 from svsim.transport import Transport
@@ -205,3 +205,27 @@ def test_byte_exchange_sends_the_stored_indices_of_the_receivers_part(kind, qubi
     for ledger in engine.ledgers:
         assert ledger.inter_rank_bytes_sent == plan.bytes_per_rank
         assert ledger.inter_rank_messages == (1 << len(plan.masks)) - 1
+
+
+def _sorted_distinct(part):
+    """One part's distinct codes and columns through a sorting unique."""
+    distinct = np.unique(part)
+    table = np.empty(1 << 16, dtype=np.min_scalar_type(distinct.size - 1))
+    table[distinct] = np.arange(distinct.size)
+    return distinct[None], table[part]
+
+
+def test_one_part_distinct_codes_match_a_sorting_unique(rng):
+    every = rng.permutation(1 << 16).astype(np.uint16)
+    parts = [np.full(1000, code, dtype=np.uint16) for code in (0, 4097, 65535)]
+    parts += [every, np.concatenate([every, every[::-1]]), every.reshape(256, 256)[:, ::3]]
+    for size, pool in ((1, 1), (7, 3), (4096, 2000), (1 << 14, 255), (1 << 14, 257),
+                       (1 << 16, 5000), (1 << 16, 1 << 16)):
+        part = rng.choice(rng.choice(1 << 16, pool, replace=False), size).astype(np.uint16)
+        parts += [part, part.reshape(-1, 1)[::2]]
+    for part in parts:
+        tuples, inverse = _distinct_tuples([part])
+        expected_tuples, expected_inverse = _sorted_distinct(part)
+        for got, expected in ((tuples, expected_tuples), (inverse, expected_inverse)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

@@ -2,7 +2,7 @@ import pytest
 
 from svsim import (Circuit, PartitionLayout, PrecisionMode, TrafficLedger, gates as g,
                    run_circuit)
-from svsim.layout import gibibytes_exchanged, memory_bytes, plan_exchange
+from svsim.layout import memory_bytes, plan_exchange
 
 GIB = 1 << 30
 TIB = 1 << 40
@@ -104,15 +104,3 @@ def test_ledger_counters_monotone():
     assert snap["inter_rank_bytes_sent"] == 100
     assert snap["inter_rank_messages"] == 1
     assert snap["tier_transfer_count"] == 2
-
-
-def test_gibibytes_exchanged_rounding():
-    ledger = TrafficLedger()
-    ledger.count_send(3 * GIB)
-    ledger.count_receive(3 * GIB)
-    assert gibibytes_exchanged(ledger) == 6
-    ledger2 = TrafficLedger()
-    ledger2.count_send(GIB // 2)
-    ledger2.count_receive(GIB // 2)
-    assert gibibytes_exchanged(ledger2) == 1
-    assert gibibytes_exchanged(TrafficLedger()) == 0

@@ -1,10 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svsim import Circuit, PrecisionMode, gates as g, measure, oracle_run, run_circuit
 from svsim.kernels import bit_view
-from svsim.layout import PartitionLayout
+from svsim.layout import PartitionLayout, TrafficLedger
 from svsim.state import LocalState
+from svsim.transport import Transport
 
 
 def test_all_ones_state_reads_half_half_one():
@@ -104,28 +108,190 @@ def _bits(value) -> bytes:
     return np.asarray(value).tobytes()
 
 
+def _slice(rng, mode, n):
+    state = LocalState(n, mode)
+    state.data[...] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return state
+
+
+def _sums(state, work):
+    """``_local_sums`` of a state, computing in ``work`` as ``measure_all`` does."""
+    front = measure._front_elements(state.n_local)
+    return measure._local_sums(state.amplitudes(work[front:]), state.n_local, work[:front])
+
+
+def _blocked_sums(amps, n):
+    """The contraction ``_local_sums`` computes, written out block by block.
+
+    One-weights: the squares as 2**(n-k) rows of 2**k, k = n // 2, summed down
+    the columns row after row and along each row; a qubit below k adds the
+    column sums where it reads 1, any other the row sums.  Cross sums: one
+    dot product per pair of blocks, summed.  Above LOW_QUBITS local qubits,
+    the low qubits' blocks are columns of chunks of rows of 16 amplitudes,
+    and the chunks' sums add up in order.
+    """
+    k = n // 2
+    table = (np.abs(amps) ** 2).reshape(-1, 1 << k)
+    cols = table[0].copy()
+    for row in table[1:]:
+        cols = cols + row
+    rows = np.array([np.sum(row) for row in table])
+    ones = [float(np.sum(cols.reshape(-1, 2, 1 << q)[:, 1])) for q in range(k)]
+    ones += [float(np.sum(rows.reshape(-1, 2, 1 << (q - k))[:, 1])) for q in range(k, n)]
+    low = measure.LOW_QUBITS if n > measure.LOW_QUBITS else 0
+    cross = [0j] * low
+    lines = amps.reshape(-1, 1 << low)
+    step = min(measure.CHUNK_ROWS, len(lines) // 2)
+    for start in range(0, len(lines), step):
+        chunk = lines[start:start + step]
+        for q in range(low):
+            dots = [np.vdot(np.ascontiguousarray(chunk[:, j]),
+                            np.ascontiguousarray(chunk[:, j + (1 << q)]))
+                    for j in range(1 << low) if not j >> q & 1]
+            cross[q] += complex(np.sum(np.array(dots)))
+    for q in range(low, n):
+        blocks = amps.reshape(-1, 2, 1 << q)
+        cross.append(complex(np.sum(np.array([np.vdot(b0, b1) for b0, b1 in blocks]))))
+    return float(np.real(np.vdot(amps, amps))), ones, cross
+
+
 @pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
-def test_slice_squares_give_the_per_qubit_sums_bit_for_bit(rng, mode):
-    # the sums as measurement took them from fresh arrays, qubit by qubit
-    # small slices are drawn often: one-element products round differently in place
-    for n in [1] * 10 + [2] * 5 + list(range(3, 15)):
-        state = LocalState(n, mode)
-        state.data[...] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        layout = PartitionLayout(n, n)
-        work = np.full(measure.work_elements(layout, mode), np.nan + 0j)
-        norm, ones, cross = measure._local_sums(
-            state.amplitudes(work[layout.local_size:]), n, work[:layout.local_size])
-        amps = state.working()
-        assert _bits(norm) == _bits(float(np.real(np.vdot(amps, amps))))
+def test_local_sums_are_the_blocked_contraction_bit_for_bit(rng, mode):
+    # small slices are drawn often, and 2**16 and 2**17 take several full chunks
+    for n in [1] * 5 + [2] * 5 + [3] * 5 + list(range(4, 15)) + [16, 17]:
+        state = _slice(rng, mode, n)
+        work = np.full(measure.work_elements(PartitionLayout(n, n), mode), np.nan + 0j)
+        norm, ones, cross = _sums(state, work)
+        expected_norm, expected_ones, expected_cross = _blocked_sums(state.working(), n)
+        assert _bits(norm) == _bits(expected_norm), n
         for q in range(n):
-            a0, a1 = bit_view(amps, (q,), (0,)), bit_view(amps, (q,))
-            assert _bits(ones[q]) == _bits(float(np.sum(np.abs(a1) ** 2))), (n, q)
-            assert _bits(cross[q]) == _bits(complex(np.sum(a0.conj() * a1))), (n, q)
+            assert _bits(ones[q]) == _bits(expected_ones[q]), (n, q)
+            assert _bits(cross[q]) == _bits(expected_cross[q]), (n, q)
 
 
-def test_a_stacked_pair_gives_the_cross_sum_bit_for_bit(rng):
-    for n in [0] * 20 + list(range(1, 14)):
-        a0, a1 = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
-        buffer = np.full(a0.size + 3, np.nan + 0j)[3:]
-        expected = complex(np.sum(a0.conj() * a1))
-        assert _bits(measure._cross(a0, a1, buffer)) == _bits(expected), n
+def _report_from_blocks(states, layout):
+    """The report ``measure_all`` gives, from ``_blocked_sums`` and one vdot per rank pair."""
+    n_local, half = layout.local_qubits, layout.local_size // 2
+    amps = [state.working() for state in states]
+    sums = [_blocked_sums(a, n_local) for a in amps]
+    qx, qy, qz = [], [], []
+    for q in range(layout.total_qubits):
+        if q < n_local:
+            s = sum(rank_sums[2][q] for rank_sums in sums)
+            z = sum(rank_sums[1][q] for rank_sums in sums)
+        else:
+            bit, s, z = q - n_local, 0, 0
+            for rank in range(len(states)):
+                # each rank sums its own half of the pair: the top local bit reads its bit
+                pos = rank >> bit & 1
+                own = slice(pos * half, (pos + 1) * half)
+                a0, a1 = amps[rank & ~(1 << bit)][own], amps[rank | (1 << bit)][own]
+                s += complex(np.vdot(a0, a1))
+                z += sums[rank][0] if pos else 0.0
+        qx.append((1.0 - 2.0 * s.real) / 2.0)
+        qy.append((1.0 - 2.0 * s.imag) / 2.0)
+        qz.append(z)
+    return qx, qy, qz
+
+
+def _ledgers(ranks):
+    return [TrafficLedger() for _ in range(ranks)]
+
+
+def _random_states(rng, layout, mode):
+    return [_slice(rng, mode, layout.local_qubits) for _ in range(layout.rank_count)]
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_a_report_is_the_blocked_contraction_bit_for_bit(rng, mode):
+    # a measured rank qubit sums one vdot over each rank's half of the stacked pair
+    for n, ranks in ((3, 4), (5, 8), (6, 2), (9, 4), (12, 2)):
+        layout = PartitionLayout(n, n - (ranks.bit_length() - 1))
+        states = _random_states(rng, layout, mode)
+        report = measure.measure_all(states, layout, Transport(ranks, _ledgers(ranks)))
+        qx, qy, qz = _report_from_blocks(states, layout)
+        assert (_bits(report.qx), _bits(report.qy), _bits(report.qz)) == (
+            _bits(qx), _bits(qy), _bits(qz)), (n, ranks)
+
+
+def _exact_sum(factors) -> tuple[float, float]:
+    """Correctly rounded sum of sign * a * b over ``(a, b, sign)`` arrays, and its scale.
+
+    Each float64 product splits exactly into p + e (Dekker's two-product);
+    the scale is the sum of |a * b|.
+    """
+    terms, scale = [], []
+    for a, b, sign in factors:
+        p = a * b
+        ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))
+        al, bl = a - ah, b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        terms += (sign * p).tolist() + (sign * e).tolist()
+        scale += np.abs(p).tolist()
+    return math.fsum(terms), math.fsum(scale)
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_local_sums_stay_within_the_summation_bound_of_exact_sums(rng, mode):
+    # A sum of m rounded products, in any order, errs by at most about
+    # m * eps / 2 times the sum of their magnitudes (Higham, "Accuracy and
+    # Stability of Numerical Algorithms", sec. 3.1).  No sum here takes more
+    # than 2 * size products, |a|**2 from hypot adds at most 5 ulp-halves
+    # per term, and fsum rounds once: 2 * size * eps bounds them all.
+    eps = np.finfo(np.float64).eps
+    for n in range(1, 17):
+        state = _slice(rng, mode, n)
+        work = np.empty(measure.work_elements(PartitionLayout(n, n), mode), complex)
+        norm, ones, cross = _sums(state, work)
+        amps, bound = state.working(), 2 * (1 << n) * eps
+
+        def check(value, factors, what):
+            exact, scale = _exact_sum(factors)
+            assert abs(value - exact) <= bound * scale, (n, what, value - exact, scale)
+
+        check(norm, [(amps.real, amps.real, 1), (amps.imag, amps.imag, 1)], "norm")
+        for q in range(n):
+            a0, a1 = (bit_view(amps, (q,), (v,)).ravel() for v in (0, 1))
+            check(ones[q], [(a1.real, a1.real, 1), (a1.imag, a1.imag, 1)], ("ones", q))
+            check(cross[q].real, [(a0.real, a1.real, 1), (a0.imag, a1.imag, 1)], ("re", q))
+            check(cross[q].imag, [(a0.real, a1.imag, 1), (a0.imag, a1.real, -1)], ("im", q))
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_sums_ignore_the_workspace_contents_and_offset(rng, mode):
+    for n, ranks in ((1, 1), (4, 1), (7, 2), (10, 4), (15, 2)):
+        layout = PartitionLayout(n, n - (ranks.bit_length() - 1))
+        states = _random_states(rng, layout, mode)
+        size = measure.work_elements(layout, mode)
+        outcomes = set()
+        # NaN-filled, offset by whole and by half elements, and larger than asked
+        for work in (None, np.full(size, np.nan + 1j * np.inf),
+                     np.full(size + 3, np.nan + 0j)[3:],
+                     np.full(2 * size + 1, np.nan)[1:].view(np.complex128),
+                     np.zeros(2 * size, dtype=np.complex128)):
+            report = measure.measure_all(states, layout, Transport(ranks, _ledgers(ranks)),
+                                         work=work)
+            own = np.full(size + 1, np.nan + 0j)[1:] if work is None else work
+            local = _sums(states[0], own)
+            outcomes.add((_bits(report.qx), _bits(report.qy), _bits(report.qz),
+                          _bits(report.norm_deviation), repr(local)))
+        assert len(outcomes) == 1, (n, ranks)
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_measurement_in_a_workspace_holds_nothing_of_a_sixteenth_slice(rng, mode):
+    for n, ranks in ((16, 1), (17, 2)):
+        layout = PartitionLayout(n, n - (ranks.bit_length() - 1))
+        states = _random_states(rng, layout, mode)
+        work = np.empty(measure.work_elements(layout, mode), dtype=np.complex128)
+        outbox = np.empty(layout.local_size * ranks, dtype=mode.dtype)
+        transport = Transport(ranks, _ledgers(ranks))
+        measure.measure_all(states, layout, transport, work=work, outbox=outbox)
+        tracemalloc.start()
+        try:
+            measure.measure_all(states, layout, transport, work=work, outbox=outbox)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a complex128 slice takes 16 B per amplitude
+        assert peak < layout.local_size, (n, ranks, peak)

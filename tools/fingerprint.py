@@ -1,11 +1,13 @@
 """Bit-identity fingerprints of svsim runs over a fixed configuration matrix.
 
-Prints one line per configuration: its name and a sha256 over everything the
-run leaves behind.  That is every rank's stored codes or values, the gathered
-state, the report as JSON, CSV and table (wall time set to 0), every ledger,
-the codebook's ``dump()``, unit vectors, overflow flags and ``resolution()``,
-and the tier account.  Two checkouts behave the same bit for bit on the matrix
-when they print the same lines:
+Prints one line per configuration: its name and two sha256 digests of what
+the run leaves behind.  The first covers everything but the report: every
+rank's stored codes or values, the gathered state, every ledger, the
+codebook's ``dump()``, unit vectors, overflow flags and ``resolution()``, and
+the tier account.  The second covers the report as JSON, CSV and table (wall
+time set to 0).  Two checkouts behave the same bit for bit on the matrix when
+they print the same lines; a change that states new report bits shows as
+lines whose first digest still matches:
 
     python tools/fingerprint.py > change.txt
     python tools/fingerprint.py --root PARENT_CHECKOUT > parent.txt
@@ -93,20 +95,21 @@ def tier_config(svsim, circuit, ranks: int, mode):
     return svsim.TierConfig(max(state_bytes // 2, 4 * chunk), chunk, 16)
 
 
-def fingerprint(svsim, result) -> str:
-    digest = hashlib.sha256()
+def fingerprint(svsim, result) -> tuple[str, str]:
+    """Digests of the run's state, ledgers, codebook and tiers, and of its report."""
+    digests = hashlib.sha256(), hashlib.sha256()
 
-    def put(data) -> None:
-        digest.update(data if isinstance(data, bytes) else repr(data).encode())
-        digest.update(b"\0")
+    def put(data, part: int = 0) -> None:
+        digests[part].update(data if isinstance(data, bytes) else repr(data).encode())
+        digests[part].update(b"\0")
 
     for state in result.states:
         put(state.stack([state.payload(((), ()))]).tobytes())
     put(result.gathered_state().tobytes())
     report = dataclasses.replace(svsim.build_report(result), wall_time_seconds=0.0)
     for fmt in ("json", "csv", "table"):
-        put(report.render(fmt).encode())
-    put(json.dumps(report.to_dict(), sort_keys=True).encode())
+        put(report.render(fmt).encode(), 1)
+    put(json.dumps(report.to_dict(), sort_keys=True).encode(), 1)
     for ledger in result.ledgers:
         put(sorted(ledger.snapshot().items()))
     book = result.codebook
@@ -118,7 +121,7 @@ def fingerprint(svsim, result) -> str:
         put((account.chunk_bytes, account.n_chunks, account.fast_resident,
              account.static_fast_bytes, account.high_water_bytes,
              sorted(account.ledger.snapshot().items())))
-    return digest.hexdigest()
+    return digests[0].hexdigest(), digests[1].hexdigest()
 
 
 def configurations(svsim):
@@ -155,7 +158,7 @@ def main(argv=None) -> int:
     print(f"fingerprinting {os.path.dirname(svsim.__file__)}", file=sys.stderr)
 
     for label, run in configurations(svsim):
-        print(f"{label}  {fingerprint(svsim, run())}", flush=True)
+        print(f"{label}  {'  '.join(fingerprint(svsim, run()))}", flush=True)
     return 0
 
 
