@@ -34,11 +34,17 @@ produced values, so tables and bytes are those of a whole-slice decode.
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
 
-A run is planned whole before any state exists: the layout, one exchange
-plan per gate, the run's peak memory (``layout.peak_bytes``) against the
-machine's physical memory, and the tier staging, replayed once because it
-is the same on every rank.  A layout, memory or tier error therefore raises
-before the first amplitude is allocated or the first byte is sent.
+A run is planned whole before any state exists, by ``plan_run``: one
+exchange plan per gate and one pairwise plan per rank-qubit round of each
+measurement, the tier account, the workspace and outbox sizes, the run's
+peak memory (``layout.peak_bytes``), and the ledger every rank must end
+with.  Traffic and tier staging depend only on the gates and the layout,
+never on a rank or on amplitude values, so that ledger is the same on every
+rank.  The engine refuses a plan whose peak exceeds the machine's physical
+memory, so a layout, memory or tier error raises before the first amplitude
+is allocated or the first byte is sent.  When the run ends, every rank's
+counted ledger must equal the planned one field for field, or the run
+raises ``RuntimeError``.
 
 In the fp modes the plan also sizes the run's scratch memory, created with
 its states and dropped with them, so no gate, exchange or measurement
@@ -56,7 +62,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +93,70 @@ from .transport import Transport, TransportError
 #
 # 2**14 and 2**15 beat 2**13 on both; 2**14 holds the smaller working set.
 LOCAL_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run will move and hold, planned before any state exists.
+
+    ``exchanges`` has one plan per gate, and ``rounds`` one pairwise plan
+    per rank-qubit round of each measurement.  ``tier`` is the run's one
+    tier account, None untiered.  In the fp modes ``work_elements`` sizes
+    the complex128 workspace and ``outbox_elements`` the storage-dtype
+    outbox of all ranks; byte mode takes neither, and both are 0.
+    ``peak_bytes`` is ``layout.peak_bytes``, and ``exchange_bytes`` what all
+    ranks send for the gates' exchanges, measurement excluded.  ``ledger``
+    is what every rank's ledger reads when the run ends.
+    """
+    exchanges: tuple[ExchangePlan, ...]
+    rounds: tuple[ExchangePlan, ...]
+    tier: TierAccount | None
+    work_elements: int
+    outbox_elements: int
+    peak_bytes: int
+    exchange_bytes: int
+    ledger: TrafficLedger
+
+
+def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
+             tier_config: TierConfig | None = None) -> RunPlan:
+    """The plan of ``circuit`` on ``layout``; raises ``ValueError`` if infeasible.
+
+    The workspace holds the largest working set of any gate or measurement:
+    a kernel's buffers on a local block, an exchange's stacked rows and its
+    kernel's buffers, or measurement's.  The outbox holds the payloads of
+    the largest exchange, a measurement round's included.
+    """
+    n_local, size = layout.local_qubits, layout.local_size
+    exchanges = tuple(plan_exchange(layout, gate, mode) for gate in circuit.gates)
+    rounds = tuple(ExchangePlan("pairwise", (1 << bit,), exchanged_elements(size, 1),
+                                mode.bytes_per_element)
+                   for gate in circuit.gates if gate.kind == "M"
+                   for bit in range(layout.total_qubits - n_local))
+    gate_bytes = sum(plan.bytes_per_rank for plan in exchanges)
+    sent = gate_bytes + sum(plan.bytes_per_rank for plan in rounds)
+    ledger = TrafficLedger(sent, sent, sum(plan.messages for plan in exchanges + rounds),
+                           gate_operations=len(circuit.gates))
+    tier = None
+    if tier_config is not None:
+        tier = TierAccount(size * mode.bytes_per_element, tier_config, TrafficLedger())
+        for group in plan_passes(circuit.gates, tier_config, n_local, mode).groups:
+            tier.account(group)
+        ledger.count_tier(tier.ledger.tier_bytes_moved, tier.ledger.tier_transfer_count)
+    work = queued = 0
+    if mode is not PrecisionMode.BYTE:
+        queued = max((plan.element_count for plan in exchanges + rounds), default=0)
+        for gate, plan in zip(circuit.gates, exchanges):
+            if gate.kind == "M":
+                work = max(work, measure_work_elements(layout, mode))
+            elif plan.kind != "none":
+                qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
+                work = max(work, size + work_elements(size, qubits))
+            elif not g.is_diagonal(gate):
+                block = min(max(2 << max(gate.qubits), LOCAL_BLOCK), size)
+                work = max(work, work_elements(block, gate.qubits, mode.dtype))
+    return RunPlan(exchanges, rounds, tier, work, queued * layout.rank_count,
+                   peak_bytes(layout, mode), gate_bytes * layout.rank_count, ledger)
 
 
 @dataclass
@@ -151,26 +221,19 @@ def run_circuit(circuit: Circuit, *, ranks: int = 1,
 class _Engine:
     def __init__(self, circuit, layout, mode, tier_config, rank_order_seed,
                  transport_factory=Transport):
-        need = peak_bytes(layout, mode)
+        self.plan = plan_run(circuit, layout, mode, tier_config)
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"the run needs up to {need} B but the machine has {have} B of memory")
+        if self.plan.peak_bytes > have:
+            raise ValueError(f"the run needs up to {self.plan.peak_bytes} B "
+                             f"but the machine has {have} B of memory")
         self.circuit = circuit
         self.layout = layout
-        self.plans = [plan_exchange(layout, gate, mode) for gate in circuit.gates]
-        tier_ledger = TrafficLedger()
-        self.tier_accounts = None
-        if tier_config is not None:
-            account = TierAccount(layout.local_size * mode.bytes_per_element,
-                                  tier_config, tier_ledger)
-            for group in plan_passes(circuit.gates, tier_config,
-                                     layout.local_qubits, mode).groups:
-                account.account(group)
-            self.tier_accounts = [account]
+        self.tier_accounts = None if self.plan.tier is None else [self.plan.tier]
 
         n = layout.rank_count
-        self.ledgers = [replace(tier_ledger) for _ in range(n)]
+        self.ledgers = [TrafficLedger(tier_bytes_moved=self.plan.ledger.tier_bytes_moved,
+                                      tier_transfer_count=self.plan.ledger.tier_transfer_count)
+                        for _ in range(n)]
         self.transport = transport_factory(n, self.ledgers)
         self.codebook = Codebook() if mode is PrecisionMode.BYTE else None
         self.states = [
@@ -179,43 +242,23 @@ class _Engine:
         ]
         self.work = self.outbox = None
         if self.codebook is None:
-            self.work, self.outbox = self._workspace(mode)
+            self.work = np.empty(self.plan.work_elements, dtype=np.complex128)
+            self.outbox = np.empty(self.plan.outbox_elements, dtype=mode.dtype)
         self.rank_order = list(range(n))
         if rank_order_seed is not None:
             random.Random(rank_order_seed).shuffle(self.rank_order)
         self.report: ExpectationReport | None = None
         self._proposals, self._pending = {}, []
 
-    def _workspace(self, mode: PrecisionMode) -> tuple[np.ndarray, np.ndarray]:
-        """The run's complex128 workspace and storage-dtype outbox.
-
-        The workspace holds the largest working set of any gate or
-        measurement: a kernel's buffers on a local block, an exchange's
-        stacked rows and its kernel's buffers, or measurement's.  The outbox
-        holds the payloads of the largest exchange, a measured rank qubit's
-        included.
-        """
-        n_local, size = self.layout.local_qubits, self.layout.local_size
-        work, queued = 0, 0
-        for gate, plan in zip(self.circuit.gates, self.plans):
-            if gate.kind == "M":
-                work = max(work, measure_work_elements(self.layout, mode))
-                if self.layout.rank_count > 1:
-                    queued = max(queued, exchanged_elements(size, 1))
-            elif plan.kind != "none":
-                qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
-                work = max(work, size + work_elements(size, qubits))
-                queued = max(queued, plan.element_count)
-            elif not g.is_diagonal(gate):
-                block = min(max(2 << max(gate.qubits), LOCAL_BLOCK), size)
-                work = max(work, work_elements(block, gate.qubits, mode.dtype))
-        return (np.empty(work, dtype=np.complex128),
-                np.empty(queued * self.layout.rank_count, dtype=mode.dtype))
-
     def run(self) -> None:
-        for ordinal, (gate, plan) in enumerate(zip(self.circuit.gates, self.plans)):
+        for ordinal, (gate, plan) in enumerate(zip(self.circuit.gates, self.plan.exchanges)):
             self._execute(gate, plan, ordinal)
         self.transport.assert_drained()
+        for rank, ledger in enumerate(self.ledgers):
+            for field, planned in self.plan.ledger.snapshot().items():
+                if getattr(ledger, field) != planned:
+                    raise RuntimeError(f"rank {rank} counted {field} "
+                                       f"{getattr(ledger, field)}, but the plan has {planned}")
 
     # -- per-gate dispatch ------------------------------------------------
 

@@ -8,8 +8,10 @@ qubit indices.  Every other gate has k = 1 or 2 qubits at or above N' and
 couples the 2**k ranks that differ only in those bits.
 
 The exchange-volume law is stated once, in ``exchanged_elements``: such a
-gate moves 1 - 2**-k of the local elements out of every rank.  The exchange
-planner, the label optimizer and the tier planner all take it from here.
+gate moves 1 - 2**-k of the local elements out of every rank, one message
+to each of the other 2**k - 1 ranks of its group.  The run's plan
+(``engine.plan_run``), measurement rounds included, and the label optimizer
+all take it from here.
 The traffic ledger records these volumes exactly (count times bytes per
 element for the storage mode), which is what makes the law assertable in
 tests.
@@ -123,6 +125,11 @@ class ExchangePlan:
     @property
     def bytes_per_rank(self) -> int:
         return self.element_count * self.bytes_per_element
+
+    @property
+    def messages(self) -> int:
+        """Messages each rank sends: one to every other member of its group."""
+        return (1 << len(self.masks)) - 1
 
 
 def partition(n_qubits: int, ranks: int) -> PartitionLayout:

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .circuit import Circuit
+from .engine import plan_run
+# bench/tracing.py rebinds plan_exchange in every svsim module that holds
+# it, and its tests look it up here
 from .layout import PartitionLayout, exchange_qubits, exchanged_elements, plan_exchange
 from .state import PrecisionMode
 
@@ -33,11 +36,7 @@ def predicted_exchange_bytes(circuit: Circuit, layout: PartitionLayout,
     Measurement traffic is excluded: it depends only on the layout, not on
     the labeling, so it cannot change a comparison between labelings.
     """
-    total = 0
-    for gate in circuit.gates:
-        plan = plan_exchange(layout, gate, mode)
-        total += plan.bytes_per_rank * layout.rank_count
-    return total
+    return plan_run(circuit, layout, mode).exchange_bytes
 
 
 def optimize_labels(circuit: Circuit, layout: PartitionLayout) -> tuple[int, ...]:

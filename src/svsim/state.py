@@ -82,10 +82,6 @@ class LocalState:
             state.data[0] = mode.stored_one
         return state
 
-    @property
-    def storage_nbytes(self) -> int:
-        return self.data.nbytes
-
     def view(self, where=()) -> np.ndarray:
         """View of the stored array at ``where``."""
         return bit_view(self.data, *where)

@@ -19,15 +19,22 @@ A look-ahead pass over the upcoming gates turns them into staging groups:
 The schedule and its counters model the data movement; gate arithmetic is
 identical with or without tiering, so tiered results match untiered results
 bit for bit.  Staging depends only on the gates and the layout, never on a
-rank or on amplitude values, so a run replays the plan through one
-``TierAccount`` before any state exists, and every rank's ledger starts
-from that account's counters.
+rank or on amplitude values, so a run's plan (``engine.plan_run``) charges
+it once, through one ``TierAccount``, before any state exists.  The account
+counts in closed form and lists no chunk.  Every group stages each slow
+chunk once: in and, unless it only measures, out again.  It raises the fast
+tier's high-water mark by the most slow chunks it holds at once: one, or
+for a "mid" group the most slow chunks in any co-staged group, which a sum
+over the residency flags gives once per set of paired chunk-index bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gates as g
+from .kernels import components
 from .layout import TrafficLedger, exchange_qubits
 from .state import PrecisionMode
 
@@ -52,18 +59,23 @@ class TierConfig:
         if self.lookahead_window < 1:
             raise ValueError("look-ahead window must be positive")
 
+    def chunk(self, state_bytes: int) -> int:
+        """Bytes per chunk of a rank's ``state_bytes``: at most the whole state."""
+        return min(self.chunk_bytes, state_bytes)
+
 
 @dataclass(frozen=True)
 class StagingGroup:
     """A contiguous stretch of gates executed under one staging decision.
 
     kind is one of "run" (chunk-local gates), "mid" (chunk pairing/quads),
-    "exchange" (inter-rank gate) or "measure".  chunk_groups lists the chunk
-    index tuples co-staged together for "mid" groups.
+    "exchange" (inter-rank gate) or "measure".  A "mid" group's bits are
+    the chunk-index bits its gate pairs: the chunks that differ only in
+    them are co-staged together.
     """
     kind: str
     gate_indices: tuple[int, ...]
-    chunk_groups: tuple[tuple[int, ...], ...] = ()
+    bits: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -85,12 +97,10 @@ def plan_passes(gate_list, config: TierConfig, n_local: int,
                 mode: PrecisionMode) -> StagingPlan:
     """Deterministic staging plan for the given gate window."""
     bpe = mode.bytes_per_element
-    state_bytes = (1 << n_local) * bpe
-    chunk_bytes = min(config.chunk_bytes, state_bytes)
-    if chunk_bytes < bpe or state_bytes % chunk_bytes:
-        raise ValueError("chunk size must hold at least one element and divide the state")
+    chunk_bytes = config.chunk((1 << n_local) * bpe)
+    if chunk_bytes < bpe:
+        raise ValueError("chunk size must hold at least one element")
     chunk_qubits = (chunk_bytes // bpe).bit_length() - 1
-    n_chunks = state_bytes // chunk_bytes
 
     groups: list[StagingGroup] = []
     i = 0
@@ -105,24 +115,12 @@ def plan_passes(gate_list, config: TierConfig, n_local: int,
             i = j
             continue
         if kind == "mid":
-            masks = [1 << (q - chunk_qubits)
-                     for q in gate_list[i].qubits if q >= chunk_qubits]
-            combined = 0
-            for m in masks:
-                combined |= m
-            chunk_groups = []
-            for j in range(n_chunks):
-                if j & combined:
-                    continue
-                members = [j]
-                for m in masks:
-                    members += [x | m for x in members]
-                chunk_groups.append(tuple(members))
-            needed = 1 << len(masks)
-            if needed * chunk_bytes > config.fast_capacity_bytes:
-                raise ValueError(
-                    f"gate needs {needed} co-resident chunks; shrink the chunk size")
-            groups.append(StagingGroup("mid", (i,), tuple(chunk_groups)))
+            bits = tuple(sorted(q - chunk_qubits for q in gate_list[i].qubits
+                                if q >= chunk_qubits))
+            if chunk_bytes << len(bits) > config.fast_capacity_bytes:
+                raise ValueError(f"gate needs {1 << len(bits)} co-resident chunks; "
+                                 "shrink the chunk size")
+            groups.append(StagingGroup("mid", (i,), bits))
         else:
             groups.append(StagingGroup(kind, (i,)))
         i += 1
@@ -148,7 +146,7 @@ class TierAccount:
     def __init__(self, state_bytes: int, config: TierConfig, ledger: TrafficLedger):
         self.config = config
         self.ledger = ledger
-        self.chunk_bytes = min(config.chunk_bytes, state_bytes)
+        self.chunk_bytes = config.chunk(state_bytes)
         self.n_chunks = state_bytes // self.chunk_bytes
         if state_bytes <= config.fast_capacity_bytes:
             fast_chunks = self.n_chunks
@@ -157,55 +155,41 @@ class TierAccount:
             target = recommended_fast_bytes(state_bytes, self.chunk_bytes) // self.chunk_bytes
             fast_chunks = min(budget, target, self.n_chunks)
         # chunks alternate between the tiers, spread evenly across the array
-        self.fast_resident = [
-            (j + 1) * fast_chunks // self.n_chunks > j * fast_chunks // self.n_chunks
-            for j in range(self.n_chunks)
-        ]
+        j, n = np.arange(self.n_chunks), self.n_chunks
+        self.fast_resident = (j + 1) * fast_chunks // n > j * fast_chunks // n
         self.static_fast_bytes = fast_chunks * self.chunk_bytes
         self.high_water_bytes = self.static_fast_bytes
-
-    @property
-    def slow_chunks(self) -> list[int]:
-        return [j for j, fast in enumerate(self.fast_resident) if not fast]
+        self._co_staged: dict[tuple[int, ...], int] = {}
 
     @property
     def slow_bytes(self) -> int:
-        return len(self.slow_chunks) * self.chunk_bytes
+        return self.n_chunks * self.chunk_bytes - self.static_fast_bytes
 
-    def _note_staged(self, count: int) -> None:
-        resident = self.static_fast_bytes + count * self.chunk_bytes
+    def _most_slow(self, bits: tuple[int, ...]) -> int:
+        """Most slow chunks among the chunks that differ only in ``bits``."""
+        if bits not in self._co_staged:
+            self._co_staged[bits] = int(sum(components(~self.fast_resident, bits)).max())
+        return self._co_staged[bits]
+
+    def account(self, group: StagingGroup) -> None:
+        """Charge ``group``: every slow chunk in and, unless only measured, out again.
+
+        The fast tier then holds the most slow chunks the group stages at once.
+        """
+        slow = self.slow_bytes // self.chunk_bytes
+        if not slow:
+            return
+        staged = self._most_slow(group.bits) if group.kind == "mid" else 1
+        resident = self.static_fast_bytes + staged * self.chunk_bytes
         if resident > self.config.fast_capacity_bytes:
             raise ValueError("staging would overflow the fast tier")
         self.high_water_bytes = max(self.high_water_bytes, resident)
-
-    def account(self, group: StagingGroup) -> None:
-        if group.kind in ("run", "exchange"):
-            # every slow chunk in once and, having been modified, out once
-            for _ in self.slow_chunks:
-                self._note_staged(1)
-                self.ledger.count_tier(2 * self.chunk_bytes, 2)
-        elif group.kind == "mid":
-            for members in group.chunk_groups:
-                slow = [j for j in members if not self.fast_resident[j]]
-                if slow:
-                    self._note_staged(len(slow))
-                    self.ledger.count_tier(2 * self.chunk_bytes * len(slow), 2 * len(slow))
-        elif group.kind == "measure":
-            # read-only: slow chunks come in but nothing is written back
-            for _ in self.slow_chunks:
-                self._note_staged(1)
-                self.ledger.count_tier(self.chunk_bytes, 1)
+        way = 1 if group.kind == "measure" else 2
+        self.ledger.count_tier(way * slow * self.chunk_bytes, way * slow)
 
 
 def naive_staging_bytes(gate_list, config: TierConfig, n_local: int,
                         mode: PrecisionMode) -> int:
     """Reference cost of staging the slow portion in and out for every gate."""
-    ledger = TrafficLedger()
-    account = TierAccount((1 << n_local) * mode.bytes_per_element, config, ledger)
-    total = 0
-    for gate in gate_list:
-        if gate.kind == "M":
-            total += account.slow_bytes
-        else:
-            total += 2 * account.slow_bytes
-    return total
+    account = TierAccount((1 << n_local) * mode.bytes_per_element, config, TrafficLedger())
+    return sum(1 if gate.kind == "M" else 2 for gate in gate_list) * account.slow_bytes

@@ -132,7 +132,7 @@ def test_byte_storage_is_one_eighth_of_fp64():
     for n_local in (4, 8, 12):
         byte = LocalState.zero_state(n_local, PrecisionMode.BYTE, True)
         fp64 = LocalState.zero_state(n_local, PrecisionMode.FP64, True)
-        assert byte.storage_nbytes * 8 == fp64.storage_nbytes
+        assert byte.data.nbytes * 8 == fp64.data.nbytes
 
 
 def test_cross_rank_decodability_via_encoded_buffers(rng):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svsim import (Circuit, PrecisionMode, build_benchmark, gates as g,
+from svsim import (Circuit, PrecisionMode, build_adder, build_benchmark, gates as g,
                    oracle_run, run_circuit)
 from svsim.cli import main
+from svsim.engine import plan_run
 from svsim.layout import TrafficLedger, memory_bytes, partition, peak_bytes
 from svsim.state import LocalState
 from svsim.tier import TierConfig
@@ -360,6 +361,52 @@ def test_engine_matches_the_oracle(seed, ranks, mode, tiered):
     tolerance = 1e-5 if mode is PrecisionMode.FP32 else 1e-12
     assert np.max(np.abs(result.gathered_state() - dense.psi)) < tolerance
     assert result.report.max_difference(expected) < tolerance
+
+
+@given(seed=st.integers(0, 2**32 - 1), ranks=st.sampled_from([1, 2, 4, 8]),
+       mode=st.sampled_from(list(PrecisionMode)), tiered=st.booleans(),
+       measured=st.integers(0, 2))
+def test_every_rank_counts_the_planned_ledger(seed, ranks, mode, tiered, measured):
+    rng = np.random.default_rng(seed)
+    n = 6
+    gates = list(random_circuit(rng, n, 12, measured=False).gates)
+    for _ in range(measured):
+        gates.insert(int(rng.integers(len(gates) + 1)), g.measure_all())
+    circuit = Circuit(n, tuple(gates))
+    layout = partition(n, ranks)
+    state_bytes = layout.local_size * mode.bytes_per_element
+    tier = None
+    if tiered:
+        # eight chunks, none of them resident in a fast tier of four
+        tier = TierConfig(state_bytes // 2, state_bytes // 8, int(rng.integers(1, 8)))
+    plan = plan_run(circuit, layout, mode, tier)
+    result = run_circuit(circuit, ranks=ranks, mode=mode, tier_config=tier,
+                         rank_order_seed=seed)
+    for ledger in result.ledgers:
+        assert ledger.snapshot() == plan.ledger.snapshot()
+    if tiered:
+        (account,) = result.tier_accounts
+        assert account.high_water_bytes == plan.tier.high_water_bytes
+        assert plan.ledger.tier_bytes_moved > 0
+
+
+@pytest.mark.parametrize("ranks, mode, staged", [
+    (1024, PrecisionMode.FP64, (4083968437649408, 3803492)),
+    (16384, PrecisionMode.BYTE, (14967961026560, 13940)),
+])
+def test_a_paper_scale_plan_counts_staging_in_little_memory(ranks, mode, staged):
+    # the 50-qubit adder with a 64 GiB fast tier and 1 GiB chunks per rank;
+    # the counts are those of a replay that visited every chunk group
+    circuit, _ = build_adder(25, [21346502, 12207929])
+    tracemalloc.start()
+    try:
+        plan = plan_run(circuit, partition(50, ranks), mode, TierConfig(1 << 36, 1 << 30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert (plan.ledger.tier_bytes_moved, plan.ledger.tier_transfer_count) == staged
+    assert plan.tier.high_water_bytes == 66571993088
 
 
 @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(PrecisionMode)))

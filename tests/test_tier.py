@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsim import PrecisionMode, gates as g, run_circuit
 from svsim.layout import TrafficLedger
@@ -56,29 +57,6 @@ def test_naive_per_gate_staging_reference():
     ledger = TrafficLedger()
     account = TierAccount(state_bytes, config, ledger)
     assert naive_staging_bytes(gates, config, 10, FP64) == 32 * account.slow_bytes
-
-
-def test_mid_gate_pairs_every_chunk_exactly_once():
-    # chunk holds 2**c elements; a gate on qubit c pairs chunks (j, j+1)
-    n_local = 8
-    state_bytes = (1 << n_local) * 16
-    chunk_bytes = state_bytes // 16
-    c = 4
-    config = TierConfig(state_bytes // 2, chunk_bytes)
-    plan = plan_passes((g.h(c),), config, n_local, FP64)
-    (group,) = plan.groups
-    assert group.kind == "mid"
-    assert group.chunk_groups == tuple((j, j + 1) for j in range(0, 16, 2))
-
-
-def test_mid_gate_with_higher_stride():
-    n_local = 8
-    state_bytes = (1 << n_local) * 16
-    config = TierConfig(state_bytes // 2, state_bytes // 16)
-    plan = plan_passes((g.h(6),), config, n_local, FP64)
-    (group,) = plan.groups
-    assert group.chunk_groups == tuple(
-        (j, j + 4) for j in range(16) if not j & 4)
 
 
 def test_diagonal_gates_group_into_runs_regardless_of_qubit():
@@ -172,8 +150,7 @@ def test_quad_mid_gate_needs_four_chunk_slots():
     with pytest.raises(ValueError, match="co-resident"):
         plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), tight, n_local, FP64)
     roomy = TierConfig(4 * chunk_bytes, chunk_bytes)
-    plan = plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), roomy, n_local, FP64)
-    assert all(len(members) == 4 for members in plan.groups[0].chunk_groups)
+    plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), roomy, n_local, FP64)
 
 
 def test_single_element_chunks_fall_back_to_per_gate_staging():
@@ -185,19 +162,95 @@ def test_single_element_chunks_fall_back_to_per_gate_staging():
     assert [group.kind for group in plan.groups] == ["mid", "mid"]
 
 
-@pytest.mark.parametrize("mode", list(PrecisionMode))
-def test_every_rank_carries_one_replay_of_the_plan(rng, mode):
-    circuit = random_circuit(rng, 9, 30)
-    state_bytes = (1 << 7) * mode.bytes_per_element
-    config = TierConfig(state_bytes // 4, state_bytes // 32)
-    result = run_circuit(circuit, ranks=4, mode=mode, tier_config=config)
+def _closed_form(gate_list, config, n_local, mode):
+    """Tier bytes, transfers and high-water mark as ``TierAccount`` counts them."""
     ledger = TrafficLedger()
-    account = TierAccount(state_bytes, config, ledger)
-    for group in plan_passes(circuit.gates, config, 7, mode).groups:
+    account = TierAccount((1 << n_local) * mode.bytes_per_element, config, ledger)
+    for group in plan_passes(gate_list, config, n_local, mode).groups:
         account.account(group)
-    assert ledger.tier_bytes_moved > 0
-    for rank_ledger in result.ledgers:
-        assert rank_ledger.tier_bytes_moved == ledger.tier_bytes_moved
-        assert rank_ledger.tier_transfer_count == ledger.tier_transfer_count
-    (one,) = result.tier_accounts
-    assert one.high_water_bytes == account.high_water_bytes
+    return ledger.tier_bytes_moved, ledger.tier_transfer_count, account.high_water_bytes
+
+
+def _listed(gate_list, config, n_local, mode):
+    """The same counters from a replay that lists every co-staged chunk group.
+
+    Chunks are placed as ``TierAccount`` places them.  A "run" or "exchange"
+    group stages each slow chunk in and out and a "measure" group only in,
+    one at a time.  A "mid" gate on chunk-index masks m co-stages chunk j
+    (j & m == 0) with every j | subset of m, and stages that group's slow
+    chunks in and out together.
+    """
+    bpe = mode.bytes_per_element
+    state_bytes = (1 << n_local) * bpe
+    chunk = min(config.chunk_bytes, state_bytes)
+    n_chunks = state_bytes // chunk
+    chunk_qubits = (chunk // bpe).bit_length() - 1
+    fast = [True] * n_chunks
+    if state_bytes > config.fast_capacity_bytes:
+        budget = max(config.fast_capacity_bytes // chunk - 4, 0)
+        fast_chunks = min(budget, state_bytes * 11 // 15 // chunk, n_chunks)
+        fast = [(j + 1) * fast_chunks // n_chunks > j * fast_chunks // n_chunks
+                for j in range(n_chunks)]
+    static = sum(fast) * chunk
+    counters = [0, 0, static]
+
+    def stage(count, way):
+        resident = static + count * chunk
+        if resident > config.fast_capacity_bytes:
+            raise ValueError("staging would overflow the fast tier")
+        counters[2] = max(counters[2], resident)
+        counters[0] += way * count * chunk
+        counters[1] += way * count
+
+    for group in plan_passes(gate_list, config, n_local, mode).groups:
+        if group.kind != "mid":
+            for j in range(n_chunks):
+                if not fast[j]:
+                    stage(1, 1 if group.kind == "measure" else 2)
+            continue
+        (index,) = group.gate_indices
+        masks = [1 << (q - chunk_qubits) for q in gate_list[index].qubits
+                 if q >= chunk_qubits]
+        for j in range(n_chunks):
+            if j & sum(masks):
+                continue
+            members = [j]
+            for m in masks:
+                members += [x | m for x in members]
+            slow = sum(not fast[x] for x in members)
+            if slow:
+                stage(slow, 2)
+    return tuple(counters)
+
+
+def _outcome(count, *args):
+    try:
+        return count(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+GATE = st.tuples(st.sampled_from(["H", "CNOT", "U4", "CPHASE", "M"]),
+                 st.integers(0, 9), st.integers(1, 9))
+
+
+@given(gate_specs=st.lists(GATE, max_size=12), n_local=st.integers(2, 8),
+       mode=st.sampled_from(list(PrecisionMode)), chunk_shift=st.integers(0, 8),
+       capacity_chunks=st.integers(2, 24), window=st.integers(1, 6))
+def test_closed_form_counts_equal_a_replay_of_every_chunk_group(
+        gate_specs, n_local, mode, chunk_shift, capacity_chunks, window):
+    # qubits reach up to two rank bits above the local ones
+    n_qubits = n_local + 2
+    gate_list = []
+    for kind, q1, step in gate_specs:
+        q1 %= n_qubits
+        q2 = (q1 + 1 + step % (n_qubits - 1)) % n_qubits
+        gate_list.append({"H": lambda: g.h(q1), "CNOT": lambda: g.cnot(q1, q2),
+                          "U4": lambda: g.u4(q1, q2, g.CNOT_MATRIX),
+                          "CPHASE": lambda: g.cphase(q1, q2, 2),
+                          "M": g.measure_all}[kind]())
+    # from the whole state down to one element per chunk
+    chunk = ((1 << n_local) * mode.bytes_per_element) >> min(chunk_shift, n_local)
+    config = TierConfig(capacity_chunks * chunk, chunk, window)
+    args = (tuple(gate_list), config, n_local, mode)
+    assert _outcome(_closed_form, *args) == _outcome(_listed, *args)

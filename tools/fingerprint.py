@@ -19,6 +19,12 @@ and overflows both byte-mode tables) and ``benchmark:10``, each in fp64, fp32
 and byte mode, on 1, 2, 4 and 8 ranks, untiered and tiered, in natural and in
 seeded rank order; plus the four ``bench`` workloads for seeds 1 and 2.
 
+Six more lines carry one digest each: the tier account of the 50-qubit adder
+``adder:25:21346502:12207929`` at 1024 and 16384 ranks in each mode, with a
+64 GiB fast tier and 1 GiB chunks.  They run no state, only ``plan_passes``
+and ``TierAccount.account``, which every checkout since tiering has, so they
+compare two checkouts' staging counts at paper scale.
+
 Stored data is read as ``state.stack([state.payload(((), ()))])``: one row
 holding the whole slice, complex128 in the fp modes and the 16-bit codes
 (magnitude index x 256 + phase index) in byte mode.  ``stack`` and
@@ -118,10 +124,37 @@ def fingerprint(svsim, result) -> tuple[str, str]:
         put(book.units.tobytes())
         put((book.mag_overflow, book.phase_overflow, book.resolution()))
     for account in result.tier_accounts or ():
-        put((account.chunk_bytes, account.n_chunks, account.fast_resident,
-             account.static_fast_bytes, account.high_water_bytes,
-             sorted(account.ledger.snapshot().items())))
+        put(tier_record(account))
     return digests[0].hexdigest(), digests[1].hexdigest()
+
+
+def tier_record(account) -> tuple:
+    """A tier account's geometry, placement and counters.
+
+    The residency flags are read as a list of bools, whichever sequence holds
+    them, so checkouts that store them differently print the same digests.
+    """
+    return (account.chunk_bytes, account.n_chunks,
+            [bool(fast) for fast in account.fast_resident],
+            account.static_fast_bytes, account.high_water_bytes,
+            sorted(account.ledger.snapshot().items()))
+
+
+def paper_tier_lines(svsim):
+    """Yield (name, digest) of the 50-qubit adder's tier account per ranks and mode."""
+    circuit, _ = svsim.build_adder(25, [21346502, 12207929])
+    config = svsim.TierConfig(1 << 36, 1 << 30)
+    modes = {mode.value: mode for mode in svsim.PrecisionMode}
+    for ranks in (1024, 16384):
+        n_local = circuit.n_qubits - (ranks.bit_length() - 1)
+        for mode_name in MODES:
+            mode = modes[mode_name]
+            account = svsim.tier.TierAccount((1 << n_local) * mode.bytes_per_element, config,
+                                             svsim.TrafficLedger())
+            for group in svsim.plan_passes(circuit.gates, config, n_local, mode).groups:
+                account.account(group)
+            digest = hashlib.sha256(repr(tier_record(account)).encode()).hexdigest()
+            yield f"adder:25:21346502:12207929 {mode_name} r{ranks} tier 64GiB/1GiB", digest
 
 
 def configurations(svsim):
@@ -159,6 +192,8 @@ def main(argv=None) -> int:
 
     for label, run in configurations(svsim):
         print(f"{label}  {'  '.join(fingerprint(svsim, run()))}", flush=True)
+    for label, digest in paper_tier_lines(svsim):
+        print(f"{label}  {digest}", flush=True)
     return 0
 
 
