@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svsim import PrecisionMode, gates as g, run_circuit
+from svsim.kernels import components
 from svsim.layout import TrafficLedger
 from svsim.tier import TierAccount, TierConfig, naive_staging_bytes, plan_passes
 
@@ -57,6 +58,41 @@ def test_naive_per_gate_staging_reference():
     ledger = TrafficLedger()
     account = TierAccount(state_bytes, config, ledger)
     assert naive_staging_bytes(gates, config, 10, FP64) == 32 * account.slow_bytes
+
+
+def _co_staged(group, n_chunks):
+    """The chunk-index groups a "mid" group co-stages, as ``TierAccount`` reads them."""
+    views = components(np.arange(n_chunks), group.bits)
+    return tuple(sorted(zip(*(view.ravel().tolist() for view in views))))
+
+
+def test_mid_gate_pairs_every_chunk_exactly_once():
+    # chunk holds 2**c elements; a gate on qubit c pairs chunks (j, j+1)
+    n_local = 8
+    state_bytes = (1 << n_local) * 16
+    chunk_bytes = state_bytes // 16
+    c = 4
+    config = TierConfig(state_bytes // 2, chunk_bytes)
+    plan = plan_passes((g.h(c),), config, n_local, FP64)
+    (group,) = plan.groups
+    assert group.kind == "mid"
+    assert _co_staged(group, 16) == tuple((j, j + 1) for j in range(0, 16, 2))
+    # each slow chunk crosses once in and once out
+    ledger = TrafficLedger()
+    account = TierAccount(state_bytes, config, ledger)
+    account.account(group)
+    assert ledger.tier_bytes_moved == 2 * account.slow_bytes
+    assert ledger.tier_transfer_count == 2 * account.slow_bytes // chunk_bytes
+
+
+def test_mid_gate_with_higher_stride():
+    n_local = 8
+    state_bytes = (1 << n_local) * 16
+    config = TierConfig(state_bytes // 2, state_bytes // 16)
+    plan = plan_passes((g.h(6),), config, n_local, FP64)
+    (group,) = plan.groups
+    assert _co_staged(group, 16) == tuple(
+        (j, j + 4) for j in range(16) if not j & 4)
 
 
 def test_diagonal_gates_group_into_runs_regardless_of_qubit():
@@ -150,7 +186,8 @@ def test_quad_mid_gate_needs_four_chunk_slots():
     with pytest.raises(ValueError, match="co-resident"):
         plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), tight, n_local, FP64)
     roomy = TierConfig(4 * chunk_bytes, chunk_bytes)
-    plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), roomy, n_local, FP64)
+    plan = plan_passes((g.u4(2, 3, g.CNOT_MATRIX),), roomy, n_local, FP64)
+    assert all(len(members) == 4 for members in _co_staged(plan.groups[0], 16))
 
 
 def test_single_element_chunks_fall_back_to_per_gate_staging():
@@ -160,6 +197,24 @@ def test_single_element_chunks_fall_back_to_per_gate_staging():
     plan = plan_passes((g.h(0), g.h(1)), config, n_local, FP64)
     # chunk width zero: nothing can group, every gate stages chunk pairs
     assert [group.kind for group in plan.groups] == ["mid", "mid"]
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_every_rank_carries_one_replay_of_the_plan(rng, mode):
+    circuit = random_circuit(rng, 9, 30)
+    state_bytes = (1 << 7) * mode.bytes_per_element
+    config = TierConfig(state_bytes // 4, state_bytes // 32)
+    result = run_circuit(circuit, ranks=4, mode=mode, tier_config=config)
+    ledger = TrafficLedger()
+    account = TierAccount(state_bytes, config, ledger)
+    for group in plan_passes(circuit.gates, config, 7, mode).groups:
+        account.account(group)
+    assert ledger.tier_bytes_moved > 0
+    for rank_ledger in result.ledgers:
+        assert rank_ledger.tier_bytes_moved == ledger.tier_bytes_moved
+        assert rank_ledger.tier_transfer_count == ledger.tier_transfer_count
+    (one,) = result.tier_accounts
+    assert one.high_water_bytes == account.high_water_bytes
 
 
 def _closed_form(gate_list, config, n_local, mode):
