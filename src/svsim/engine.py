@@ -16,20 +16,30 @@ memory rather than a second counted transfer.  Ledger bytes therefore equal the 
 exchange volume, 1 - 2**-k of the local elements per rank at the storage
 mode's bytes per element, and each send charges exactly what it carries.
 
-Fp modes store results at once.  In byte-encoded mode every gate ends with
-a codebook barrier: ranks propose the values they produced, the proposals
-are merged identically everywhere, and only then are results encoded back
-into storage.  Byte mode has one gate path, on the 16-bit codes storage
-holds rather than on values.  A gate combines 1, 2 or 4 components of the
-codes a rank reads (its slice, the region a diagonal gate scales, or the
-exchange's stacked buffer), and its result at a position depends only on
-the tuple of codes there.  So each rank keeps the distinct tuples and each
-position's tuple index, decodes those tuples, applies the gate to them
-through ``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``,
-and canonicalizes and proposes the results once.  After the barrier, which
-stays per gate, it encodes the distinct results and scatters their codes
-back through the tuple indices.  Proposals depend only on the set of
-produced values, so tables and bytes are those of a whole-slice decode.
+X, Y and CNOT only move amplitudes (``gates.permutation``).  They run as
+``apply_permutation``, which swaps data in the array's own dtype with no
+0/1 arithmetic, on the same blocks, on an exchange's stacked rows, and in
+byte mode on the stored codes themselves.  Their values equal the matrix
+path's as numbers; only the sign of a zero component can differ.  Traffic
+does not change: an exchanged permutation moves what any exchanged gate
+moves.
+
+Fp modes store results at once.  In byte-encoded mode every gate that computes
+new values ends with a codebook barrier: ranks propose the values they
+produced, the proposals are merged identically everywhere, and only then are
+results encoded back into storage.  Byte mode computes on the 16-bit codes
+storage holds rather than on values.  X and CNOT only move codes, so they skip
+the decode, the codec and the barrier; Y keeps the codec path, as its +-i turns
+phases the table may not hold.  Every other gate combines 1, 2 or 4 components
+of the codes a rank reads (its slice, the region a diagonal gate scales, or the
+exchange's stacked buffer), and its result at a position depends only on the
+tuple of codes there.  So each rank keeps the distinct tuples and each
+position's tuple index, decodes those tuples, applies the gate to them through
+``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``, and
+canonicalizes and proposes the results once.  After the barrier, which stays
+per gate, it encodes the distinct results and scatters their codes back through
+the tuple indices.  Proposals depend only on the set of produced values, so
+tables and bytes are those of a whole-slice decode.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
@@ -50,12 +60,13 @@ In the fp modes the plan also sizes the run's scratch memory, created with
 its states and dropped with them, so no gate, exchange or measurement
 allocates anything of a slice's size.  The workspace, one complex128 array,
 holds the largest working set of any gate or measurement: a kernel's
-gathered components, accumulator, term buffer or saved half on a block, an
-exchange's stacked rows followed by its kernel's buffers, or measurement's
-squares and their sums.  The outbox, one storage-dtype array, holds the
-largest exchange's queued payloads, and every exchange carves its payloads
-from it again.  Byte mode computes on distinct code tuples that its codec allocates,
-and takes neither.
+gathered components, accumulator, term buffer or saved half on a block, a
+permutation's two swap buffers in the block's dtype, an exchange's stacked
+rows followed by its kernel's buffers, or measurement's squares and their
+sums.  The outbox, one storage-dtype array, holds the largest exchange's
+queued payloads, and every exchange carves its payloads from it again.
+Byte mode takes neither: its codec allocates what it computes on, and its
+code swaps allocate their own buffers.
 """
 from __future__ import annotations
 
@@ -70,8 +81,9 @@ from . import gates as g
 from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, stacked_qubits
-from .kernels import (apply_diagonal, apply_pair_arrays, apply_quad_arrays,
-                      apply_single, apply_two, components, work_elements)
+from .kernels import (apply_diagonal, apply_pair_arrays, apply_permutation,
+                      apply_quad_arrays, apply_single, apply_two, components,
+                      work_elements)
 from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, exchanged_elements,
                      partition, peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all, work_elements as measure_work_elements
@@ -147,14 +159,15 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
     if mode is not PrecisionMode.BYTE:
         queued = max((plan.element_count for plan in exchanges + rounds), default=0)
         for gate, plan in zip(circuit.gates, exchanges):
+            moves = g.permutation(gate) is not None
             if gate.kind == "M":
                 work = max(work, measure_work_elements(layout, mode))
             elif plan.kind != "none":
                 qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
-                work = max(work, size + work_elements(size, qubits))
+                work = max(work, size + work_elements(size, qubits, moves=moves))
             elif not g.is_diagonal(gate):
                 block = min(max(2 << max(gate.qubits), LOCAL_BLOCK), size)
-                work = max(work, work_elements(block, gate.qubits, mode.dtype))
+                work = max(work, work_elements(block, gate.qubits, mode.dtype, moves))
     return RunPlan(exchanges, rounds, tier, work, queued * layout.rank_count,
                    peak_bytes(layout, mode), gate_bytes * layout.rank_count, ledger)
 
@@ -276,10 +289,15 @@ class _Engine:
         for ledger in self.ledgers:
             ledger.gate_operations += 1
 
+    def _on_codec(self, gate: g.Gate) -> bool:
+        """Whether ``gate`` runs through byte mode's codec: all but X and CNOT."""
+        move = g.permutation(gate)
+        return self.codebook is not None and (move is None or move.y)
+
     def _apply_local(self, gate: g.Gate) -> None:
-        """Fp modes compute in place; byte mode on the codes it reads."""
+        """In place on storage; byte mode's codec gates on the codes they read."""
         n_local = self.layout.local_qubits
-        byte = self.codebook is not None
+        codec = self._on_codec(gate)
         where, qubits, rank_bits = (), gate.qubits, 0
         # whole pair groups per block keep a matrix kernel's buffers small
         block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
@@ -288,14 +306,14 @@ class _Engine:
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
             block = 1 << n_local  # scaling a view in place allocates nothing
-            if byte:
+            if codec:
                 # byte mode reads only that region, as the gate's one component
                 where, qubits = (qubits,), ()
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue
             state = self.states[rank]
-            if byte:
+            if codec:
                 self._apply_codes(rank, gate, state.stack([state.view(where)]),
                                   qubits, [(rank, where)])
                 continue
@@ -305,14 +323,16 @@ class _Engine:
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
         qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
+        codec = self._on_codec(gate)
         for rank, members, own, stacked in group_exchange(
                 self.states, self.transport, plan.masks, self.rank_order, gate.qubits,
                 self.work, self.outbox):
             writes = [(member, own) for member in members]
-            if self.codebook is not None:
+            if codec:
                 self._apply_codes(rank, gate, stacked, qubits, writes)
                 continue
-            _apply_gate(stacked.reshape(-1), gate, qubits, self.work[stacked.size:])
+            rest = None if self.work is None else self.work[stacked.size:]
+            _apply_gate(stacked.reshape(-1), gate, qubits, rest)
             for (owner, where), row in zip(writes, stacked):
                 self.states[owner].store(row, where)
         self._commit()
@@ -334,8 +354,12 @@ class _Engine:
         self._pending.append((rank, writes, codes.shape, qubits, inverse, r, theta))
 
     def _commit(self) -> None:
-        """Byte mode: merge all ranks' proposals, then encode and store the held writes."""
-        if self.codebook is None:
+        """Byte mode: merge all ranks' proposals, then encode and store the held writes.
+
+        A gate that held no write, in the fp modes or one that only moved
+        codes, has no barrier.
+        """
+        if not self._pending:
             return
         empty = Proposal(*(np.zeros(0),) * 4)
         proposals = [self._proposals.get(rank, empty)
@@ -395,10 +419,14 @@ def _apply_arrays(gate: g.Gate, values: np.ndarray):
 def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...], work) -> None:
     """Apply ``gate`` in place with its qubits at the given bits of ``psi``.
 
-    A matrix kernel's buffers are carved from ``work``; a diagonal gate
-    scales a view and needs none.
+    X, Y and CNOT move data in ``psi``'s dtype, byte mode's codes included.
+    A matrix or permutation kernel's buffers are carved from ``work``, or
+    new without it; a diagonal gate scales a view and needs none.
     """
-    if g.is_diagonal(gate):
+    move = g.permutation(gate, qubits)
+    if move is not None:
+        apply_permutation(psi, *move, work=work)
+    elif g.is_diagonal(gate):
         apply_diagonal(psi, qubits, g.diagonal_factor(gate))
     elif len(qubits) == 1:
         apply_single(psi, qubits[0], g.unitary_matrix(gate), work=work)

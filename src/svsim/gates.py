@@ -7,11 +7,16 @@ rotates the other way, which is what an inverse Fourier block needs.
 
 Qubit convention: qubit ``q`` is bit ``q`` of the amplitude index, so the two
 members of a single-qubit pair differ by ``2**q``.
+
+X, Y and CNOT also have a permutation form (``permutation``): they only move
+amplitudes, Y multiplying each moved one by -i or +i, so a kernel can run
+them as exact data movement instead of 0/1 matrix arithmetic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +83,18 @@ def u4(q1: int, q2: int, matrix: np.ndarray) -> Gate:
     return Gate("U4", (q1, q2), matrix=np.asarray(matrix, dtype=np.complex128))
 
 
+class Permutation(NamedTuple):
+    """A gate as data movement on the bits of the array it acts on.
+
+    Where every ``conditions`` bit reads 1, the two amplitudes that differ
+    only in bit ``flipped`` trade places.  With ``y`` the one that lands where
+    ``flipped`` reads 0 is multiplied by -i and the other by +i, exactly.
+    """
+    conditions: tuple[int, ...]
+    flipped: int
+    y: bool = False
+
+
 def measure_all() -> Gate:
     return Gate("M")
 
@@ -102,6 +119,21 @@ def diagonal_factor(gate: Gate) -> complex:
     if gate.kind in ("PHASE", "CPHASE"):
         return complex(np.exp(1j * phase_angle(gate.k)))
     raise ValueError(f"not a diagonal gate: {gate.kind}")
+
+
+def permutation(gate: Gate, bits=None) -> Permutation | None:
+    """X, Y or CNOT as a ``Permutation``; None for every other kind.
+
+    ``bits`` are the gate's qubits, in order, as bits of the array the
+    permutation acts on; they default to the qubits themselves.  CNOT's
+    control is its condition and its target the flipped bit.
+    """
+    bits = gate.qubits if bits is None else tuple(bits)
+    if gate.kind in ("X", "Y"):
+        return Permutation((), bits[0], gate.kind == "Y")
+    if gate.kind == "CNOT":
+        return Permutation((bits[0],), bits[1])
+    return None
 
 
 def unitary_matrix(gate: Gate) -> np.ndarray:

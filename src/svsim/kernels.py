@@ -1,8 +1,12 @@
 """Strided gate kernels for one partition's amplitude array.
 
-All kernels perform arithmetic in complex128 regardless of the array's
-storage dtype; storing back into a complex64 array rounds once, which is
-the intended reduced-precision storage behaviour.
+All matrix and diagonal kernels perform arithmetic in complex128 regardless
+of the array's storage dtype; storing back into a complex64 array rounds
+once, which is the intended reduced-precision storage behaviour.
+``apply_permutation``, the kernel of X, Y and CNOT, does no arithmetic: it
+moves data in the array's own dtype, so it serves complex128 and complex64
+amplitudes and byte mode's uint16 codes alike, and its values equal the
+matrix path's as numbers (only the sign of a zero component can differ).
 
 Every amplitude subset is named by the index bits it fixes, through the one
 view helper ``bit_view``: a gate on qubit q pairs the views where bit q
@@ -22,13 +26,14 @@ term buffer, and store it.  When a pair's halves are contiguous complex128
 storage, ``apply_single`` instead copies only the half it overwrites before
 its last read and takes every product in place.
 
-Those buffers are the kernels' only transients.  A caller that passes
-``work``, a 1-D complex128 array of at least ``work_elements`` elements,
-has them carved from its front, so the call allocates nothing: the engine
-passes the run's one workspace.  Without ``work`` each call allocates its
-own.  The bits are the same either way.  The ``*_arrays`` kernels compute
-the same expressions, value by value, into new buffers; byte mode applies
-them to the distinct stored code tuples of a gate's ``components``.
+Those buffers are the kernels' only transients.  A caller that passes ``work``,
+a 1-D complex128 array of at least ``work_elements`` elements, has them carved
+from its front, so the call allocates nothing: the engine passes the run's one
+workspace.  ``apply_permutation`` carves its two buffers in the array's dtype
+from the same memory.  Without ``work`` each call allocates its own.  The bits
+are the same either way.  The ``*_arrays`` kernels compute the same
+expressions, value by value, into new buffers; byte mode applies them to the
+distinct stored code tuples of a gate's ``components``.
 ``pair_indices`` has no caller in the package; it stays as a tested public
 kernel that the benchmark's tracer wraps by name.
 """
@@ -91,11 +96,11 @@ def _combine(row, xs, acc, term) -> None:
         acc += term
 
 
-def _carve(work, count: int, shape) -> list[np.ndarray]:
-    """``count`` complex128 buffers of ``shape``: consecutive parts of ``work``, or new."""
+def _carve(work, count: int, shape, dtype=np.complex128) -> list[np.ndarray]:
+    """``count`` buffers of ``shape`` and ``dtype``: consecutive parts of ``work``, or new."""
     if work is None:
-        return [np.empty(shape, dtype=np.complex128) for _ in range(count)]
-    n = math.prod(shape)
+        return [np.empty(shape, dtype=dtype) for _ in range(count)]
+    n, work = math.prod(shape), work.view(dtype)
     return [work[i * n:(i + 1) * n].reshape(shape) for i in range(count)]
 
 
@@ -108,14 +113,19 @@ def _halves_in_place(size: int, q: int, dtype) -> bool:
     return dtype == np.complex128 and 2 << q == size and q > 0
 
 
-def work_elements(size: int, qubits: tuple[int, ...], dtype=np.complex128) -> int:
-    """Complex128 elements of ``work`` a matrix kernel takes on an array of ``size``.
+def work_elements(size: int, qubits: tuple[int, ...], dtype=np.complex128,
+                  moves: bool = False) -> int:
+    """Complex128 elements of ``work`` a kernel takes on an array of ``size``.
 
     ``qubits`` are the gate's bits of the array: one for ``apply_single``,
     two for ``apply_two``.  Gathered components fill ``size`` elements and
     the accumulator and term buffer one component each; halves updated in
-    place need the saved half and one term buffer.
+    place need the saved half and one term buffer.  With ``moves`` the
+    kernel is ``apply_permutation`` on an array of ``dtype``: two buffers of
+    one component each, rounded up to whole complex128 elements.
     """
+    if moves:
+        return -(-2 * (size >> len(qubits)) * np.dtype(dtype).itemsize // 16)
     if len(qubits) == 1 and _halves_in_place(size, qubits[0], dtype):
         return size
     return size + 2 * (size >> len(qubits))
@@ -174,6 +184,36 @@ def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex
     """
     view = bit_view(psi, local_bits)
     view *= np.complex128(factor)
+
+
+def apply_permutation(a: np.ndarray, conditions: tuple[int, ...], flipped: int,
+                      y: bool = False, work=None) -> None:
+    """Swap the elements that differ only in bit ``flipped`` where ``conditions`` read 1.
+
+    The arguments after ``a`` are a ``gates.Permutation``.  Both sides of
+    the swap are copied into two buffers of ``a``'s dtype, carved from
+    ``work`` or new, and written back crosswise.  Two views of one array
+    never meet in a copy: their bounds overlap, so numpy would first copy
+    the whole source.  With ``y`` the crosswise writes exchange real and
+    imaginary parts and negate one, multiplying by -i and +i exactly; that
+    needs complex ``a``.
+    """
+    if y and a.dtype.kind != "c":
+        raise TypeError(f"a phase needs complex elements, not {a.dtype}")
+    bits, ones = tuple(conditions) + (flipped,), (1,) * len(conditions)
+    v0, v1 = bit_view(a, bits, ones + (0,)), bit_view(a, bits, ones + (1,))
+    b0, b1 = _carve(work, 2, v0.shape, a.dtype)
+    np.copyto(b0, v0)
+    np.copyto(b1, v1)
+    if not y:
+        np.copyto(v0, b1)
+        np.copyto(v1, b0)
+        return
+    # -i (x + iy) = y - ix and +i (x + iy) = -y + ix
+    np.copyto(v0.real, b1.imag)
+    np.negative(b1.real, out=v0.imag)
+    np.negative(b0.imag, out=v1.real)
+    np.copyto(v1.imag, b0.real)
 
 
 def _rows(matrix: np.ndarray, xs) -> np.ndarray:

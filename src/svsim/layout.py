@@ -76,11 +76,12 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     for byte mode's codec.  A kernel holds a stacked buffer and, computing in
     place, at most two more copies: the gathered components with one
     accumulator and one term buffer, or half a slice saved and one term
-    buffer when the pair's halves are contiguous complex128.  A diagonal gate
-    scales a view in place.  Measurement holds a slice's squared magnitudes
-    (half a copy), their column and row sums and, unless storage is
-    complex128, the decoded slice; a measured rank qubit holds its stacked
-    pair: at most 2 copies.
+    buffer when the pair's halves are contiguous complex128.  X, Y and CNOT
+    swap through two buffers that together hold at most one copy.  A
+    diagonal gate scales a view in place.  Measurement holds a slice's
+    squared magnitudes (half a copy), their column and row sums and, unless
+    storage is complex128, the decoded slice; a measured rank qubit holds its
+    stacked pair: at most 2 copies.
 
     In the fp modes that budget pays for memory a run holds from start to
     end: the queued term for the outbox every exchange carves its payloads
@@ -135,11 +136,15 @@ class ExchangePlan:
 def partition(n_qubits: int, ranks: int) -> PartitionLayout:
     """Layout of ``n_qubits`` over ``ranks`` partitions.
 
-    The qubits left after the rank bits are each partition's local qubits.
+    The qubits left after the rank bits are each partition's local qubits,
+    at least one.
     """
     if ranks < 1 or ranks & (ranks - 1):
         raise ValueError("rank count must be a power of two")
-    return PartitionLayout(n_qubits, n_qubits - (ranks.bit_length() - 1))
+    rank_bits = ranks.bit_length() - 1
+    if 1 <= n_qubits <= rank_bits:
+        raise ValueError(f"{ranks} ranks need more qubits than the circuit's {n_qubits}")
+    return PartitionLayout(n_qubits, n_qubits - rank_bits)
 
 
 def exchange_qubits(gate: g.Gate, n_local: int) -> tuple[int, ...]:

@@ -109,6 +109,15 @@ def test_layout_tier_and_memory_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("svsim: ")
 
 
+@pytest.mark.parametrize("ranks", [256, 1024])
+def test_too_many_ranks_name_the_qubits_they_need(ranks, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--builder", "benchmark:8", "--ranks", str(ranks)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"svsim: {ranks} ranks need more qubits than the circuit's 8\n")
+
+
 OLD_JSON_KEYS = ["qubits", "ranks", "localQubits", "mode", "gateOperations",
                  "interRankBytes", "interRankMessages", "tierBytes", "tierTransferCount",
                  "codebookOverflowFlags", "expectations", "wallTimeSeconds"]

@@ -14,6 +14,16 @@ def test_phase_angle_values():
         g.phase_angle(0)
 
 
+def test_permutation_forms_of_x_y_and_cnot_only():
+    assert g.permutation(g.x(3)) == ((), 3, False)
+    assert g.permutation(g.y(3), (5,)) == ((), 5, True)
+    assert g.permutation(g.cnot(4, 1)) == ((4,), 1, False)
+    assert g.permutation(g.cnot(4, 1), (0, 2)) == ((0,), 2, False)
+    for gate in (g.h(0), g.z(0), g.phase(0, 2), g.cphase(0, 1, 2), g.u2(0, g.X_MATRIX),
+                 g.u4(0, 1, g.CNOT_MATRIX), g.measure_all()):
+        assert g.permutation(gate) is None
+
+
 def test_builtin_matrices_unitary():
     for gate in (g.h(0), g.x(0), g.y(0), g.cnot(0, 1)):
         assert g.unitarity_residual(g.unitary_matrix(gate)) < 1e-15

@@ -320,6 +320,59 @@ def test_array_kernels_keep_the_parent_arithmetic_and_match_the_in_place_kernels
     assert [p.tobytes() for p in produced] == [psi[index].tobytes() for index in parts]
 
 
+def moved_reference(psi, move):
+    """``psi`` after ``move``, element by element through index arrays.
+
+    Y's -i and +i exchange the real and imaginary parts of a float view and
+    negate one, so every expected bit is exact.
+    """
+    bits = move.conditions + (move.flipped,)
+    parts = component_indices(psi.size.bit_length() - 1, bits)
+    low, high = parts[(1 << len(move.conditions)) - 1], parts[-1]
+    expected = psi.copy()
+    if not move.y:
+        expected[low], expected[high] = psi[high], psi[low]
+        return expected
+    e, p = (a.view(psi.real.dtype).reshape(-1, 2) for a in (expected, psi))
+    e[low, 0], e[low, 1] = p[high, 1], -p[high, 0]
+    e[high, 0], e[high, 1] = -p[low, 1], p[low, 0]
+    return expected
+
+
+@given(st.data())
+def test_permutation_moves_exactly_what_the_matrix_kernels_compute(data):
+    kind = data.draw(st.sampled_from(["X", "Y", "CNOT"]), label="kind")
+    dtypes = [np.complex128, np.complex64] + ([np.uint16] if kind != "Y" else [])
+    dtype = data.draw(st.sampled_from(dtypes), label="dtype")
+    k = 2 if kind == "CNOT" else 1
+    n = data.draw(st.integers(k, 7), label="n")
+    bits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                    unique=True), label="bits"))
+    gate = g.Gate(kind, bits)
+    move = g.permutation(gate)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    if dtype is np.uint16:
+        psi = np.random.default_rng(seed).integers(0, 1 << 16, 1 << n, dtype=np.uint16)
+    else:
+        psi = signed_zero_state(seed, n, dtype)
+    work = None
+    if data.draw(st.booleans(), label="in a workspace"):
+        # larger than needed, at an offset, holding stale values
+        size = kernels.work_elements(psi.size, bits, dtype, moves=True)
+        work = np.full(size + 5, np.nan + 1j * np.inf)[3:]
+    moved = psi.copy()
+    kernels.apply_permutation(moved, *move, work=work)
+    assert moved.tobytes() == moved_reference(psi, move).tobytes()
+    if dtype is not np.uint16:
+        # the matrix kernels' arithmetic gives the same numbers, zero signs aside
+        assert np.array_equal(moved, reference_update(psi, bits, g.unitary_matrix(gate)))
+
+
+def test_a_phase_is_refused_on_codes():
+    with pytest.raises(TypeError):
+        kernels.apply_permutation(np.zeros(8, dtype=np.uint16), (), 1, y=True)
+
+
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 def test_one_element_components_keep_the_parent_arithmetic(rng, dtype):
     # numpy rounds a one-element product written over its input differently

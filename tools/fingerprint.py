@@ -1,13 +1,17 @@
 """Bit-identity fingerprints of svsim runs over a fixed configuration matrix.
 
-Prints one line per configuration: its name and two sha256 digests of what
-the run leaves behind.  The first covers everything but the report: every
-rank's stored codes or values, the gathered state, every ledger, the
+Prints one line per configuration: its name and three sha256 digests of
+what the run leaves behind.  The first covers everything but the report:
+every rank's stored codes or values, the gathered state, every ledger, the
 codebook's ``dump()``, unit vectors, overflow flags and ``resolution()``, and
 the tier account.  The second covers the report as JSON, CSV and table (wall
-time set to 0).  Two checkouts behave the same bit for bit on the matrix when
-they print the same lines; a change that states new report bits shows as
-lines whose first digest still matches:
+time set to 0).  The third covers what the first does, with the sign of
+every zero component of stored and gathered values cleared (``x + 0.0``;
+byte mode's codes are taken as they are).  Two checkouts behave the same bit
+for bit on the matrix when they print the same lines; a change that states
+new report bits shows as lines whose first digest still matches, and one
+that only flips the signs of zeros as lines whose first digest differs and
+whose second and third match:
 
     python tools/fingerprint.py > change.txt
     python tools/fingerprint.py --root PARENT_CHECKOUT > parent.txt
@@ -101,21 +105,29 @@ def tier_config(svsim, circuit, ranks: int, mode):
     return svsim.TierConfig(max(state_bytes // 2, 4 * chunk), chunk, 16)
 
 
-def fingerprint(svsim, result) -> tuple[str, str]:
-    """Digests of the run's state, ledgers, codebook and tiers, and of its report."""
-    digests = hashlib.sha256(), hashlib.sha256()
+def _zero_signs_cleared(values: np.ndarray) -> np.ndarray:
+    """Complex values with every -0.0 component made 0.0; codes as they are."""
+    return values + 0.0 if values.dtype.kind == "c" else values
 
-    def put(data, part: int = 0) -> None:
-        digests[part].update(data if isinstance(data, bytes) else repr(data).encode())
-        digests[part].update(b"\0")
 
-    for state in result.states:
-        put(state.stack([state.payload(((), ()))]).tobytes())
-    put(result.gathered_state().tobytes())
+def fingerprint(svsim, result) -> tuple[str, str, str]:
+    """Digests of the run's state, ledgers, codebook and tiers, of its report,
+    and of the first's content with the signs of stored zeros cleared."""
+    digests = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+
+    def put(data, parts=(0, 2)) -> None:
+        for part in parts:
+            digests[part].update(data if isinstance(data, bytes) else repr(data).encode())
+            digests[part].update(b"\0")
+
+    stored = [state.stack([state.payload(((), ()))]) for state in result.states]
+    for values in stored + [result.gathered_state()]:
+        put(values.tobytes(), (0,))
+        put(_zero_signs_cleared(values).tobytes(), (2,))
     report = dataclasses.replace(svsim.build_report(result), wall_time_seconds=0.0)
     for fmt in ("json", "csv", "table"):
-        put(report.render(fmt).encode(), 1)
-    put(json.dumps(report.to_dict(), sort_keys=True).encode(), 1)
+        put(report.render(fmt).encode(), (1,))
+    put(json.dumps(report.to_dict(), sort_keys=True).encode(), (1,))
     for ledger in result.ledgers:
         put(sorted(ledger.snapshot().items()))
     book = result.codebook
@@ -125,7 +137,7 @@ def fingerprint(svsim, result) -> tuple[str, str]:
         put((book.mag_overflow, book.phase_overflow, book.resolution()))
     for account in result.tier_accounts or ():
         put(tier_record(account))
-    return digests[0].hexdigest(), digests[1].hexdigest()
+    return tuple(digest.hexdigest() for digest in digests)
 
 
 def tier_record(account) -> tuple:
