@@ -48,8 +48,9 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="fast-tier capacity per rank; omit to disable tiering")
     parser.add_argument("--chunk-bytes", type=int, default=None,
                         help="tier staging chunk size (power of two)")
-    parser.add_argument("--lookahead", type=int, default=64,
-                        help="gates examined ahead by the staging planner")
+    parser.add_argument("--lookahead", type=int, default=None,
+                        help="gates examined ahead by the staging planner (default 64); "
+                             "needs --fast-bytes and --chunk-bytes")
     parser.add_argument("--optimize-labels", action="store_true",
                         help="relabel qubits to reduce predicted exchange traffic")
     parser.add_argument("--report", choices=["json", "csv", "table"], default="table")
@@ -94,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if (args.fast_bytes is None) != (args.chunk_bytes is None):
         parser.exit(2, "svsim: --fast-bytes and --chunk-bytes go together\n")
+    if args.lookahead is not None and args.fast_bytes is None:
+        parser.exit(2, "svsim: --lookahead needs --fast-bytes and --chunk-bytes\n")
 
     # opened before the run, so an unwritable path costs no simulation; "a"
     # leaves an existing file as it is until the report replaces it
@@ -106,8 +109,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with out or contextlib.nullcontext():
         try:
+            lookahead = (TierConfig.lookahead_window if args.lookahead is None
+                         else args.lookahead)
             tier_config = (None if args.fast_bytes is None else
-                           TierConfig(args.fast_bytes, args.chunk_bytes, args.lookahead))
+                           TierConfig(args.fast_bytes, args.chunk_bytes, lookahead))
             if args.optimize_labels:
                 layout = partition(circuit.n_qubits, args.ranks)
                 circuit = relabel(circuit, optimize_labels(circuit, layout))

@@ -1,28 +1,35 @@
 """Distributed execution of a circuit over in-process rank workers.
 
 Every gate runs as a bulk-synchronous round.  A diagonal gate, or one whose
-qubits are all local, applies independently on each rank.  In the fp modes a
-matrix kernel runs on blocks of ``LOCAL_BLOCK`` amplitudes, or of whole pair
-groups where a qubit is higher, and a diagonal gate takes the rank's slice
-whole: one ``apply_diagonal`` call scales its view in place, allocating
-nothing, so blocking would only add calls.
+qubits are all local, applies independently on each rank.  Every other gate
+goes through the one group exchange of ``exchange``, as do measured qubits
+in the rank bits: the 2**k ranks that differ in the gate's k rank bits trade
+the parts each member owns, and each member computes on the rows of its own
+part, one per member.  Every member's results go back into that member's
+part within the same round through process-shared memory rather than a
+second counted transfer.  Ledger bytes therefore equal the planned exchange
+volume, 1 - 2**-k of the local elements per rank at the storage mode's bytes
+per element, and each send charges exactly what it carries.
 
-Every other gate goes through the one group exchange of ``exchange``, as do
-measured qubits in the rank bits: the 2**k ranks that differ in the gate's
-k rank bits trade the parts each member owns, each member applies the gate
-to the stacked components of its own part, and every member's results go
-back into that member's part within the same round through process-shared
-memory rather than a second counted transfer.  Ledger bytes therefore equal the planned
-exchange volume, 1 - 2**-k of the local elements per rank at the storage
-mode's bytes per element, and each send charges exactly what it carries.
+In the fp modes a matrix or permutation gate computes on rows, taken as one
+array in which the gate's high bits select the row.  An exchanged gate's rows
+are the visiting rank's own part, read where it sits in storage, and each
+received payload as it arrived; each row's results are written straight into
+its member's part.  A local gate's row is the slice.  A gate bit of a row
+that a piece of ``LOCAL_BLOCK`` amplitudes cannot hold splits every row into
+halves (or quarters) at it, and the rows are then walked together in
+pieces of ``LOCAL_BLOCK`` amplitudes in all, so no kernel call covers more
+than a block and nothing is stacked or stored back.  A diagonal gate takes
+the rank's slice whole: one ``apply_diagonal`` call scales its view in
+place, so blocking would only add calls.
 
 X, Y and CNOT only move amplitudes (``gates.permutation``).  They run as
-``apply_permutation``, which swaps data in the array's own dtype with no
-0/1 arithmetic, on the same blocks, on an exchange's stacked rows, and in
-byte mode on the stored codes themselves.  Their values equal the matrix
-path's as numbers; only the sign of a zero component can differ.  Traffic
-does not change: an exchanged permutation moves what any exchanged gate
-moves.
+crosswise copies from their source rows into their target rows in the
+array's own dtype, with no 0/1 arithmetic, through two buffers only where
+both sides of the swap are updated in place; in byte mode they move the
+stored codes themselves.  Their values equal the matrix path's as numbers;
+only the sign of a zero component can differ.  Traffic does not change: an
+exchanged permutation moves what any exchanged gate moves.
 
 Fp modes store results at once.  In byte-encoded mode every gate that computes
 new values ends with a codebook barrier: ranks propose the values they
@@ -31,15 +38,17 @@ results encoded back into storage.  Byte mode computes on the 16-bit codes
 storage holds rather than on values.  X and CNOT only move codes, so they skip
 the decode, the codec and the barrier; Y keeps the codec path, as its +-i turns
 phases the table may not hold.  Every other gate combines 1, 2 or 4 components
-of the codes a rank reads (its slice, the region a diagonal gate scales, or the
-exchange's stacked buffer), and its result at a position depends only on the
-tuple of codes there.  So each rank keeps the distinct tuples and each
-position's tuple index, decodes those tuples, applies the gate to them through
-``apply_diagonal``, ``apply_pair_arrays`` or ``apply_quad_arrays``, and
-canonicalizes and proposes the results once.  After the barrier, which stays
-per gate, it encodes the distinct results and scatters their codes back through
-the tuple indices.  Proposals depend only on the set of produced values, so
-tables and bytes are those of a whole-slice decode.
+of the code rows a rank reads (its slice, the region a diagonal gate scales,
+or an exchange's rows, read where they lie), and its result at a position
+depends only on the tuple of codes there.  So each rank keeps the distinct
+tuples and each position's tuple index, decodes those tuples, applies the gate
+to them through ``apply_diagonal``, ``apply_pair_arrays`` or
+``apply_quad_arrays``, and canonicalizes and proposes the results once.  After
+the barrier, which stays per gate, it encodes the distinct results and
+scatters their codes through the tuple indices straight into the parts they
+belong to.  Proposals depend only on the set of produced values, so tables and
+bytes are those of a whole-slice decode.  Byte mode takes no pieces: its codec
+already works on distinct tuples.
 
 Ranks are visited in a configurable order; all results and counters are
 independent of that order.
@@ -60,13 +69,13 @@ In the fp modes the plan also sizes the run's scratch memory, created with
 its states and dropped with them, so no gate, exchange or measurement
 allocates anything of a slice's size.  The workspace, one complex128 array,
 holds the largest working set of any gate or measurement: a kernel's
-gathered components, accumulator, term buffer or saved half on a block, a
-permutation's two swap buffers in the block's dtype, an exchange's stacked
-rows followed by its kernel's buffers, or measurement's squares and their
-sums.  The outbox, one storage-dtype array, holds the largest exchange's
-queued payloads, and every exchange carves its payloads from it again.
-Byte mode takes neither: its codec allocates what it computes on, and its
-code swaps allocate their own buffers.
+gathered components, accumulator, term buffer or saved component on one
+piece, a permutation's swap buffers in the rows' dtype, or measurement's
+squares and their sums and its stacked pair.  The outbox, one storage-dtype
+array, holds the largest exchange's queued payloads, and every exchange
+carves its payloads from it again.  Byte mode takes neither: its codec
+allocates what it computes on, and its code swaps allocate their own
+buffers.
 """
 from __future__ import annotations
 
@@ -82,8 +91,8 @@ from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, stacked_qubits
 from .kernels import (apply_diagonal, apply_pair_arrays, apply_permutation,
-                      apply_quad_arrays, apply_single, apply_two, components,
-                      work_elements)
+                      apply_quad_arrays, apply_rows, apply_single, apply_two, bit_view,
+                      move_rows, row_components, work_elements)
 from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, exchanged_elements,
                      partition, peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all, work_elements as measure_work_elements
@@ -91,20 +100,23 @@ from .state import LocalState, PrecisionMode
 from .tier import TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
 
-# Amplitudes per matrix-kernel call on the local path; diagonal gates are not
-# blocked.  Medians of run_circuit in seconds, with the kernels' buffers in the
-# run's workspace and block sizes interleaved in shuffled order (2 CPUs with
-# 4 MiB of L2 each, Python 3.11, numpy 2.4; the bench workloads, whose slices
-# hold 2**16 and 2**20 amplitudes):
+# Amplitudes per matrix or permutation kernel call, counted over all the rows
+# it computes on; diagonal gates are not blocked.  Medians of run_circuit in
+# seconds, block sizes interleaved in shuffled order (2 CPUs with 4 MiB of L2
+# each, Python 3.11, numpy 2.4; the bench workloads, whose slices hold 2**16
+# and 2**20 amplitudes):
 #
-#   block                        2**13  2**14  2**15  2**16  slice
-#   hadamard-fp32-r16, 16 runs   0.257  0.233  0.226  0.253  0.248
-#   adder-fp64-r1-tier, 16 runs  0.304  0.282  0.292  0.329  0.395
-#   hadamard-fp32-r16, 24 runs   0.309  0.287  0.286
-#   adder-fp64-r1-tier, 24 runs  0.347  0.329  0.327
+#   block                        2**13  2**14  2**15  2**16
+#   hadamard-fp32-r16, 16 runs   0.223  0.186  0.190  0.217
+#   adder-fp64-r1-tier, 16 runs  0.228  0.200  0.195  0.231
+#   random-fp64-r16, 16 runs     0.446  0.356  0.309  0.355
+#   hadamard-fp32-r16, 24 runs   0.251  0.201  0.180  0.215
+#   adder-fp64-r1-tier, 24 runs  0.234  0.211  0.211  0.235
+#   random-fp64-r16, 24 runs     0.440  0.363  0.338  0.356
 #
-# 2**14 and 2**15 beat 2**13 on both; 2**14 holds the smaller working set.
-LOCAL_BLOCK = 1 << 14
+# 2**15 is fastest or level on every workload: each exchanged gate computes in
+# pieces, and smaller ones cost more calls than they save in cache.
+LOCAL_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -135,9 +147,9 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
     """The plan of ``circuit`` on ``layout``; raises ``ValueError`` if infeasible.
 
     The workspace holds the largest working set of any gate or measurement:
-    a kernel's buffers on a local block, an exchange's stacked rows and its
-    kernel's buffers, or measurement's.  The outbox holds the payloads of
-    the largest exchange, a measurement round's included.
+    a kernel's buffers on one piece of its rows, at most ``LOCAL_BLOCK``
+    amplitudes, or measurement's.  The outbox holds the payloads of the
+    largest exchange, a measurement round's included.
     """
     n_local, size = layout.local_qubits, layout.local_size
     exchanges = tuple(plan_exchange(layout, gate, mode) for gate in circuit.gates)
@@ -158,16 +170,14 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
     work = queued = 0
     if mode is not PrecisionMode.BYTE:
         queued = max((plan.element_count for plan in exchanges + rounds), default=0)
-        for gate, plan in zip(circuit.gates, exchanges):
-            moves = g.permutation(gate) is not None
+        for gate in circuit.gates:
             if gate.kind == "M":
                 work = max(work, measure_work_elements(layout, mode))
-            elif plan.kind != "none":
-                qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
-                work = max(work, size + work_elements(size, qubits, moves=moves))
             elif not g.is_diagonal(gate):
-                block = min(max(2 << max(gate.qubits), LOCAL_BLOCK), size)
-                work = max(work, work_elements(block, gate.qubits, mode.dtype, moves))
+                # every kernel call covers at most a block of all its rows
+                block = min(max(LOCAL_BLOCK, 1 << len(gate.qubits)), size)
+                work = max(work, work_elements(block, gate.qubits, mode.dtype,
+                                               g.permutation(gate) is not None))
     return RunPlan(exchanges, rounds, tier, work, queued * layout.rank_count,
                    peak_bytes(layout, mode), gate_bytes * layout.rank_count, ledger)
 
@@ -298,66 +308,78 @@ class _Engine:
         """In place on storage; byte mode's codec gates on the codes they read."""
         n_local = self.layout.local_qubits
         codec = self._on_codec(gate)
-        where, qubits, rank_bits = (), gate.qubits, 0
-        # whole pair groups per block keep a matrix kernel's buffers small
-        block = max(2 << max(qubits, default=0), LOCAL_BLOCK)
+        qubits, where, rank_bits = gate.qubits, ((), ()), 0
         if g.is_diagonal(gate):
             # a diagonal gate acts only where all its qubits read one
             rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
             qubits = tuple(q for q in qubits if q < n_local)
-            block = 1 << n_local  # scaling a view in place allocates nothing
             if codec:
                 # byte mode reads only that region, as the gate's one component
-                where, qubits = (qubits,), ()
+                where, qubits = (qubits, (1,) * len(qubits)), ()
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue
-            state = self.states[rank]
+            row = (self.states[rank].data, *where)
             if codec:
-                self._apply_codes(rank, gate, state.stack([state.view(where)]),
-                                  qubits, [(rank, where)])
-                continue
-            for start in range(0, state.data.size, block):
-                _apply_gate(state.data[start:start + block], gate, qubits, self.work)
+                self._apply_codes(rank, gate, [row], [(rank, *where)], qubits, n_local)
+            elif g.is_diagonal(gate):
+                # scaling a view in place needs no workspace, so it is not split
+                apply_diagonal(row[0], qubits, g.diagonal_factor(gate))
+            else:
+                _apply_in_pieces(gate, [row], [row], qubits, n_local, self.work)
         self._commit()
 
     def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
-        qubits = stacked_qubits(gate.qubits, self.layout.local_qubits, plan.masks)
+        n_local = self.layout.local_qubits
+        width = n_local - len(plan.masks)
+        qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
         codec = self._on_codec(gate)
-        for rank, members, own, stacked in group_exchange(
+        for rank, members, own, rows in group_exchange(
                 self.states, self.transport, plan.masks, self.rank_order, gate.qubits,
-                self.work, self.outbox):
-            writes = [(member, own) for member in members]
+                self.outbox):
             if codec:
-                self._apply_codes(rank, gate, stacked, qubits, writes)
+                self._apply_codes(rank, gate, rows, [(m, *own) for m in members], qubits, width)
                 continue
-            rest = None if self.work is None else self.work[stacked.size:]
-            _apply_gate(stacked.reshape(-1), gate, qubits, rest)
-            for (owner, where), row in zip(writes, stacked):
-                self.states[owner].store(row, where)
+            # the visiting rank's row is its own target; every other row is
+            # a payload whose results go into its member's part
+            targets = [row if member == rank else (self.states[member].data, *own)
+                       for member, row in zip(members, rows)]
+            _apply_in_pieces(gate, rows, targets, qubits, width, self.work)
         self._commit()
 
     # -- byte mode: distinct code tuples and the codebook barrier ----------
 
-    def _apply_codes(self, rank: int, gate: g.Gate, codes: np.ndarray,
-                     qubits: tuple[int, ...], writes: list) -> None:
-        """Apply ``gate`` to the distinct code tuples of ``codes``; hold the write.
+    def _apply_codes(self, rank: int, gate: g.Gate, rows: list, writes: list,
+                     qubits: tuple[int, ...], width: int) -> None:
+        """Apply ``gate`` to the distinct code tuples of ``rows``; hold the write.
 
-        ``codes`` has one row per write ``(owner, where)``, and the gate's
-        qubits are ``qubits`` bits of its ravelled form.  The rank proposes
-        the distinct results now; ``_commit`` stores them after the barrier.
+        ``rows`` are the code rows the rank reads, as ``(array, bits,
+        values)`` triples, and ``writes`` the ``(owner, bits, values)`` part
+        each row's results go to; the gate's qubits are ``qubits`` bits of
+        the rows taken as one array of rows of 2**width codes.  The rank
+        proposes the distinct results now; ``_commit`` stores them after the
+        barrier.
         """
-        tuples, inverse = _distinct_tuples(components(codes.reshape(-1), qubits))
+        parts, wheres = [], []
+        for r, bits, values in row_components(qubits, width):
+            array, fixed, fixed_values = rows[r]
+            view = bit_view(array, fixed + _row_bits(bits, fixed), fixed_values + values)
+            # the rows' own fixed bits only add axes of one element
+            parts.append(np.atleast_1d(view.squeeze()))
+            owner, fixed, fixed_values = writes[r]
+            wheres.append((owner, (fixed + _row_bits(bits, fixed), fixed_values + values)))
+        tuples, inverse = _distinct_tuples(parts)
         produced = np.stack(_apply_arrays(gate, self.states[rank].values(tuples)))
         r, theta, ux, uy = canonicalize(produced)
         self._proposals[rank] = self.codebook.propose(r, theta, ux, uy)
-        self._pending.append((rank, writes, codes.shape, qubits, inverse, r, theta))
+        self._pending.append((rank, wheres, inverse, r, theta))
 
     def _commit(self) -> None:
         """Byte mode: merge all ranks' proposals, then encode and store the held writes.
 
         A gate that held no write, in the fp modes or one that only moved
-        codes, has no barrier.
+        codes, has no barrier.  Each component's codes are scattered from its
+        distinct results straight into the part they belong to.
         """
         if not self._pending:
             return
@@ -365,14 +387,10 @@ class _Engine:
         proposals = [self._proposals.get(rank, empty)
                      for rank in range(self.layout.rank_count)]
         self.codebook.merge(self.transport.collective(proposals))
-        for rank, writes, shape, qubits, inverse, r, theta in self._pending:
-            codes = np.empty(shape, dtype=np.uint16)
-            parts = components(codes.reshape(-1), qubits)
-            encoded = self.states[rank].encode(r, theta).reshape(len(parts), -1)
-            for view, part in zip(parts, encoded):
-                view[...] = part[inverse]
-            for (owner, where), row in zip(writes, codes):
-                self.states[owner].store(row, where)
+        for rank, wheres, inverse, r, theta in self._pending:
+            encoded = self.states[rank].encode(r, theta).reshape(len(wheres), -1)
+            for (owner, where), part in zip(wheres, encoded):
+                self.states[owner].store(part[inverse], where)
         self._proposals, self._pending = {}, []
 
 
@@ -416,20 +434,84 @@ def _apply_arrays(gate: g.Gate, values: np.ndarray):
     return apply_quad_arrays(list(values), g.unitary_matrix(gate))
 
 
-def _apply_gate(psi: np.ndarray, gate: g.Gate, qubits: tuple[int, ...], work) -> None:
-    """Apply ``gate`` in place with its qubits at the given bits of ``psi``.
+def _row_bits(bits, fixed) -> tuple[int, ...]:
+    """Bits of a row as bits of the array it lies in, where ``fixed`` are fixed."""
+    out = []
+    for b in bits:
+        for f in sorted(fixed):
+            b += f <= b
+        out.append(b)
+    return tuple(out)
 
-    X, Y and CNOT move data in ``psi``'s dtype, byte mode's codes included.
-    A matrix or permutation kernel's buffers are carved from ``work``, or
-    new without it; a diagonal gate scales a view and needs none.
+
+def _run(array: np.ndarray, steps, start: int, piece: int) -> np.ndarray:
+    """A row's elements ``start`` to ``start + piece``, one contiguous run of ``array``.
+
+    ``steps`` are the row's fixed bits and their values, ascending; each is
+    inserted into ``start`` to find where the run begins.
     """
-    move = g.permutation(gate, qubits)
-    if move is not None:
-        apply_permutation(psi, *move, work=work)
-    elif g.is_diagonal(gate):
-        apply_diagonal(psi, qubits, g.diagonal_factor(gate))
-    elif len(qubits) == 1:
-        apply_single(psi, qubits[0], g.unitary_matrix(gate), work=work)
-    else:
-        apply_two(psi, qubits[0], qubits[1], g.unitary_matrix(gate), work=work)
+    for b, v in steps:
+        start = (start >> b << (b + 1)) | (v << b) | (start & ((1 << b) - 1))
+    return array[start:start + piece]
 
+
+def _apply_in_pieces(gate: g.Gate, sources: list, targets: list, qubits: tuple[int, ...],
+                     width: int, work) -> None:
+    """Apply ``gate`` across aligned rows, ``LOCAL_BLOCK`` amplitudes of them at a time.
+
+    Rows are ``(array, bits, values)`` triples of 2**width elements, taken
+    as one array with row r after row r - 1, and ``qubits`` are the gate's
+    bits of it.  A target that is its source (the same triple) is updated in
+    place; every other source is a scratch copy.  A gate bit of a row that a
+    piece cannot hold with its pair splits every row in two at it, highest
+    first, so the rows become halves or quarters.  Then each piece is one
+    contiguous run of every row, and the kernel sees the gate's remaining
+    bits inside it.
+    """
+    while True:
+        piece = max(LOCAL_BLOCK >> (len(sources).bit_length() - 1), 1)
+        # a run of a row between its fixed bits is contiguous
+        piece = min([piece, 1 << width] + [1 << min(bits) for _, bits, _ in sources + targets
+                                          if bits])
+        high = [b for b in qubits if b < width and 2 << b > piece]
+        if not high:
+            break
+        # the split bit becomes the top bit of the row index
+        split, top = max(high), width - 1 + len(sources).bit_length() - 1
+        halves = [[(array, bits + _row_bits((split,), bits), values + (v,))
+                   for array, bits, values in sources] for v in (0, 1)]
+        targets = [s if t is old else (t[0], t[1] + _row_bits((split,), t[1]), t[2] + (v,))
+                   for v, half in enumerate(halves)
+                   for s, t, old in zip(half, targets, sources)]
+        sources = halves[0] + halves[1]
+        qubits = tuple(top if b == split else b - (b > split) for b in qubits)
+        width -= 1
+    shift = width - (piece.bit_length() - 1)
+    bits = tuple(b if b < width else b - shift for b in qubits)
+    move = g.permutation(gate, bits)
+    matrix = None if move is not None else g.unitary_matrix(gate)
+    starts = range(0, 1 << width, piece)
+    if len(sources) == 1 and targets[0] is sources[0]:
+        # one row in place, a whole slice: the array kernels, block by block
+        array = sources[0][0]
+        for start in starts:
+            psi = array[start:start + piece]
+            if move is not None:
+                apply_permutation(psi, *move, work=work)
+            elif len(bits) == 1:
+                apply_single(psi, bits[0], matrix, work=work)
+            else:
+                apply_two(psi, bits[0], bits[1], matrix, work=work)
+        return
+    reads = [(array, sorted(zip(fixed, values))) for array, fixed, values in sources]
+    writes = [None if t is s else (t[0], sorted(zip(t[1], t[2])))
+              for s, t in zip(sources, targets)]
+    in_place = not any(writes)
+    for start in starts:
+        src = [_run(array, steps, start, piece) for array, steps in reads]
+        tgt = src if in_place else [s if at is None else _run(*at, start, piece)
+                                    for s, at in zip(src, writes)]
+        if move is not None:
+            move_rows(src, tgt, *move, work=work)
+        else:
+            apply_rows(src, tgt, bits, matrix, work)

@@ -8,21 +8,18 @@ operation read p: a ``(bits, values)`` part, viewed by ``kernels.bit_view``.
 
 Every member sends every other member that member's part, as a copy of its
 stored array (storage-dtype amplitudes, or 16-bit codes in byte mode), so
-each message charges exactly the bytes it carries.  Each member then stacks
-the 2**k aligned components of its own part, component c from the member at
-position c (its own straight from storage), into one buffer in which high
-qubit j is bit n_local - k + j: complex128 amplitudes in the fp modes, and
-in byte mode the stored codes, so nothing is decoded here
-(``LocalState.stack``).
-Ranks are yielded one at a time, so a caller that stores as it goes holds
-one rank's buffer at once.
+each message charges exactly the bytes it carries.  A member then computes
+on 2**k aligned rows, row c holding the member at position c's amplitudes
+of its own part, so that high qubit j is bit j of the row index (see
+``stacked_qubits``).  Nothing is stacked: its own row is read where it sits
+in storage, and every other row is the payload as it arrived.  A row is an
+``(array, bits, values)`` triple, the view ``kernels.bit_view`` gives of it.
+Ranks are yielded one at a time.
 
 A run's exchanges need not allocate.  Payloads are then carved in send order
 from ``outbox``, a flat storage-dtype array that holds one exchange's queued
-payloads; every payload has been received and stacked by the time the
-generator finishes, so the next exchange reuses the same memory.  The
-stacked rows are the front of ``work``, the run's complex128 workspace, and
-the caller computes on the rest of it.
+payloads; every payload has been received by the time the generator
+finishes, so the next exchange reuses the same memory.
 """
 from __future__ import annotations
 
@@ -40,20 +37,26 @@ def _low_part_bit(n_local: int, masks: tuple[int, ...], qubits) -> int:
 
 
 def stacked_qubits(qubits, n_local: int, masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Each of an operation's qubits as a bit of the stacked buffer."""
+    """Each of an operation's qubits as a bit of its rows, taken as one array.
+
+    Rows hold 2**(n_local - k) amplitudes, and row c follows row c - 1, so a
+    bit at or above n_local - k selects the row (``kernels.row_components``).
+    """
     k, low = len(masks), _low_part_bit(n_local, masks, qubits)
     return tuple(n_local - k + masks.index(1 << (q - n_local)) if q >= n_local
                  else q if q < low else q - k for q in qubits)
 
 
 def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits=(),
-                   work=None, outbox=None):
-    """Yield (rank, members, own part, stacked components) per visited rank.
+                   outbox=None):
+    """Yield (rank, members, own part, rows) per visited rank.
 
     ``qubits`` are the operation's qubits; local ones are kept out of the
-    bits that select a part.  Every payload is copied and sent before the
-    first rank is yielded, and a rank reads only its own part, so a caller
-    may store a yielded rank's results into all its members at once.  With
+    bits that select a part.  Row c is the member at position c's part:
+    ``(storage, *own)`` for the visiting rank, ``(payload, (), ())`` for every
+    other member.  Every payload is copied and sent before the first rank is
+    yielded, and a rank reads only its own part, so a caller may write a
+    yielded rank's results into all its members' parts at once.  With
     ``outbox`` the payloads are its consecutive parts, so the previous
     exchange's must all have been received.
     """
@@ -75,7 +78,6 @@ def group_exchange(states, transport, masks: tuple[int, ...], rank_order, qubits
     for rank in rank_order:
         members = _group_members(rank, masks)
         own = parts[members.index(rank)]
-        state = states[rank]
-        stacked = state.stack([state.view(own) if member == rank else
-                               transport.recv(rank, member) for member in members], work)
-        yield rank, members, own, stacked
+        rows = [(states[rank].data, *own) if member == rank else
+                (transport.recv(rank, member), (), ()) for member in members]
+        yield rank, members, own, rows

@@ -1,12 +1,12 @@
-"""Strided gate kernels for one partition's amplitude array.
+"""Strided gate kernels on rows of a partition's amplitudes.
 
 All matrix and diagonal kernels perform arithmetic in complex128 regardless
 of the array's storage dtype; storing back into a complex64 array rounds
-once, which is the intended reduced-precision storage behaviour.
-``apply_permutation``, the kernel of X, Y and CNOT, does no arithmetic: it
-moves data in the array's own dtype, so it serves complex128 and complex64
-amplitudes and byte mode's uint16 codes alike, and its values equal the
-matrix path's as numbers (only the sign of a zero component can differ).
+once, which is the intended reduced-precision storage behaviour.  The
+permutation kernels of X, Y and CNOT do no arithmetic: they move data in the
+array's own dtype, so they serve complex128 and complex64 amplitudes and byte
+mode's uint16 codes alike, and their values equal the matrix path's as
+numbers (only the sign of a zero component can differ).
 
 Every amplitude subset is named by the index bits it fixes, through the one
 view helper ``bit_view``: a gate on qubit q pairs the views where bit q
@@ -14,26 +14,37 @@ reads 0 and 1, a two-qubit gate spans four views, and a diagonal gate
 scales the view where its qubits read 1.  Updates are vectorised, so
 results do not depend on any internal visiting order.
 
-The four matrix kernels share one arithmetic, ``_combine``: output row r is
+A gate computes on rows: aligned 1-D arrays taken as one array, row r after
+row r - 1, in which bits at or above a row's width select the row
+(``row_components``).  ``apply_rows`` and ``move_rows`` read source rows and
+write target rows, so an exchanged gate reads its own part in storage and
+the payloads it received and writes every result into its owner's part;
+``apply_single``, ``apply_two`` and ``apply_permutation`` are their one-row
+forms, in place on one array.  A target that is its source (the same
+object) is updated in place; any other source is a scratch copy.
+
+The matrix kernels share one arithmetic, ``_combine``: output row r is
 m[r,0]*a0 + m[r,1]*a1 (+ m[r,2]*a2 + m[r,3]*a3), summed left to right, and
 every product keeps the matrix entry first, because numpy's complex
 multiply is not commutative bit for bit (``np.multiply(v, m)`` differs from
 ``m * v`` on Haar matrices).  IEEE addition is, so a two-term sum may swap
-its operands.  The kernels compute in place, with no copy or temporary per
-term.  ``apply_single`` and ``apply_two`` gather their components once into
-contiguous complex128 buffers, accumulate each row in one buffer with one
-term buffer, and store it.  When a pair's halves are contiguous complex128
-storage, ``apply_single`` instead copies only the half it overwrites before
-its last read and takes every product in place.
+its operands.  The kernels compute with no copy or temporary per term.  They
+gather the source components once into contiguous complex128 buffers,
+accumulate each row in one buffer with one term buffer, and store it into
+its target, rounding once.  When a single-qubit gate's two components are
+contiguous complex128 rows or halves, nothing is gathered: the in-place row
+is updated with every product in place, after its partner's row, which is
+saved first when it too is in place, or accumulated straight into its
+target when it is a scratch copy (``_pair``).
 
 Those buffers are the kernels' only transients.  A caller that passes ``work``,
 a 1-D complex128 array of at least ``work_elements`` elements, has them carved
 from its front, so the call allocates nothing: the engine passes the run's one
-workspace.  ``apply_permutation`` carves its two buffers in the array's dtype
+workspace.  The permutation kernels carve their buffers in the rows' dtype
 from the same memory.  Without ``work`` each call allocates its own.  The bits
 are the same either way.  The ``*_arrays`` kernels compute the same
 expressions, value by value, into new buffers; byte mode applies them to the
-distinct stored code tuples of a gate's ``components``.
+distinct stored code tuples of a gate's components.
 ``pair_indices`` has no caller in the package; it stays as a tested public
 kernel that the benchmark's tracer wraps by name.
 """
@@ -104,66 +115,130 @@ def _carve(work, count: int, shape, dtype=np.complex128) -> list[np.ndarray]:
     return [work[i * n:(i + 1) * n].reshape(shape) for i in range(count)]
 
 
-def _halves_in_place(size: int, q: int, dtype) -> bool:
-    """Whether ``apply_single`` updates a pair's halves in place, not gathered.
-
-    Halves of one element are gathered: numpy rounds a one-element product
-    written over its own input differently.
-    """
-    return dtype == np.complex128 and 2 << q == size and q > 0
-
-
 def work_elements(size: int, qubits: tuple[int, ...], dtype=np.complex128,
                   moves: bool = False) -> int:
-    """Complex128 elements of ``work`` a kernel takes on an array of ``size``.
+    """Complex128 elements of ``work`` a kernel takes on ``size`` amplitudes.
 
-    ``qubits`` are the gate's bits of the array: one for ``apply_single``,
-    two for ``apply_two``.  Gathered components fill ``size`` elements and
-    the accumulator and term buffer one component each; halves updated in
-    place need the saved half and one term buffer.  With ``moves`` the
-    kernel is ``apply_permutation`` on an array of ``dtype``: two buffers of
-    one component each, rounded up to whole complex128 elements.
+    ``size`` counts the amplitudes of all rows of one call, and ``qubits``
+    are the gate's bits of them: one for a 2x2 matrix, two for a 4x4 one.
+    Gathered components fill ``size`` elements and the accumulator and term
+    buffer one component each; the in-place forms of a single-qubit gate
+    need less.  With ``moves`` the kernel is a permutation on elements of
+    ``dtype``: two buffers of one component each, rounded up to whole
+    complex128 elements.
     """
     if moves:
         return -(-2 * (size >> len(qubits)) * np.dtype(dtype).itemsize // 16)
-    if len(qubits) == 1 and _halves_in_place(size, qubits[0], dtype):
-        return size
     return size + 2 * (size >> len(qubits))
 
 
-def _update(views: list[np.ndarray], matrix: np.ndarray, work=None) -> None:
-    """Apply ``matrix`` across aligned component views in place, row i into view i.
+@functools.lru_cache(maxsize=1024)
+def row_components(bits: tuple[int, ...], width: int) -> tuple:
+    """Where each component of a gate on stacked rows lies, in gate basis order.
 
-    The components are gathered once into contiguous complex128 rows; each
-    matrix row accumulates in one buffer and is stored, rounding once.
+    The rows act as one array in which row r holds the indices from
+    r * 2**width on, and ``bits`` are the gate's qubits as bits of it.  A bit
+    at or above ``width`` selects the row; one below it is a bit of the row.
+    Component i, in which bit j of i is the value of qubit j, is returned as
+    (row, bits of the row, their values).
     """
-    *xs, acc, term = _carve(work, len(views) + 2, views[0].shape)
-    for x, view in zip(xs, views):
+    out = []
+    for i in range(1 << len(bits)):
+        row, fixed, values = 0, (), ()
+        for j, b in enumerate(bits):
+            v = i >> j & 1
+            if b >= width:
+                row |= v << (b - width)
+            else:
+                fixed, values = fixed + (b,), values + (v,)
+        out.append((row, fixed, values))
+    return tuple(out)
+
+
+def _views(rows, bits, which=None) -> list[tuple[int, np.ndarray]]:
+    """Components of a gate on aligned 1-D ``rows`` as (row, view): all, or ``which``."""
+    parts = row_components(bits, rows[0].size.bit_length() - 1)
+    if which is not None:
+        parts = [parts[i] for i in which]
+    return [(r, bit_view(rows[r], fixed, values)) for r, fixed, values in parts]
+
+
+_COMPLEX = np.dtype(np.complex128)
+
+
+def _update(sources, targets, matrix: np.ndarray, work=None) -> None:
+    """Apply ``matrix`` across aligned component views, row i into ``targets[i]``.
+
+    The source components are gathered once into contiguous complex128
+    buffers, so a target may be its source; each matrix row accumulates in
+    one buffer and is stored, rounding once.
+    """
+    *xs, acc, term = _carve(work, len(sources) + 2, sources[0].shape)
+    for x, view in zip(xs, sources):
         np.copyto(x, view)
-    for row, view in zip(matrix, views):
+    for row, view in zip(matrix, targets):
         _combine(row, xs, acc, term)
         view[...] = acc
 
 
-def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray, work=None) -> None:
-    """In-place 2x2 update of all (i, i + 2**q) pairs.
+def _pair(sources, targets, in_place, matrix: np.ndarray, work=None) -> None:
+    """A 2x2 update of two contiguous complex128 components, nothing gathered.
 
-    A complex128 array whose top bit is q is updated half by half in place:
-    the engine's blocks for high qubits and the stacked buffer of an
-    exchanged single-qubit gate are such arrays.  Any other array is updated
-    through its gathered components.
+    Each product overwrites an operand it alone reads.  When both components
+    are updated in place, the first is saved before its last read, and row
+    1's two-term sum swaps its operands so that its own component comes
+    first.  Otherwise a source that is not its target is a scratch copy: its
+    row accumulates straight into its target first, and it then serves as
+    the in-place row's term buffer.
     """
-    views = [bit_view(psi, (q,), (0,)), bit_view(psi, (q,))]
-    if not _halves_in_place(psi.size, q, psi.dtype):
-        _update(views, matrix, work)
+    if all(in_place):
+        v0, v1 = sources
+        a0, term = _carve(work, 2, v0.shape)
+        np.copyto(a0, v0)
+        _combine(matrix[0], sources, v0, term)
+        _combine(matrix[1, ::-1], (v1, a0), v1, a0)
         return
-    # each product overwrites an operand it alone reads, and row 1's two-term
-    # sum swaps its operands so that v1 comes first
-    v0, v1 = views
-    a0, term = _carve(work, 2, v0.shape)
-    np.copyto(a0, v0)
-    _combine(matrix[0], views, v0, term)
-    _combine(matrix[1, ::-1], (v1, a0), v1, a0)
+    (term,) = _carve(work, 1, sources[0].shape)
+    for r in (0, 1):
+        if not in_place[r]:
+            _combine(matrix[r], sources, targets[r], term)
+    for r in (0, 1):
+        if in_place[r]:
+            order = [r, 1 - r]
+            _combine(matrix[r, order], [sources[c] for c in order], sources[r], sources[1 - r])
+
+
+def apply_rows(sources, targets, bits, matrix: np.ndarray, work=None) -> None:
+    """A 2x2 or 4x4 update across aligned 1-D rows, row results into ``targets``.
+
+    The rows act as one array, row r after row r - 1, and ``bits`` are the
+    gate's qubits as bits of it (``row_components``).  A target that is its
+    source row (the same object) is updated in place; any other source may
+    be overwritten, as a scratch copy.  A single-qubit gate whose two
+    components are contiguous complex128 rows or halves of more than one
+    element is updated with nothing gathered (``_pair``); every other gate
+    gathers its components (``_update``).  Both give the same bits, except
+    that numpy rounds a one-element product written over its own input
+    differently, so one-element components are gathered.
+    """
+    views = _views(sources, bits)
+    xs = [view for _, view in views]
+    ts = xs if targets is sources else [view for _, view in _views(targets, bits)]
+    if (len(bits) == 1 and xs[0].size > 1
+            and all(x.dtype == _COMPLEX and x.flags.c_contiguous for x in xs)):
+        _pair(xs, ts, [sources[r] is targets[r] for r, _ in views], matrix, work)
+    else:
+        _update(xs, ts, matrix, work)
+
+
+def apply_single(psi: np.ndarray, q: int, matrix: np.ndarray, work=None) -> None:
+    """In-place 2x2 update of all (i, i + 2**q) pairs: ``apply_rows`` on one row.
+
+    A complex128 array whose top bit is q is updated half by half in place;
+    any other array is updated through its gathered components.
+    """
+    rows = (psi,)
+    apply_rows(rows, rows, (q,), matrix, work)
 
 
 def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray, work=None) -> None:
@@ -173,7 +248,8 @@ def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray, work=None) 
     """
     if qa == qb:
         raise ValueError("two-qubit gate requires distinct qubits")
-    _update(components(psi, (qa, qb)), matrix, work)
+    rows = (psi,)
+    apply_rows(rows, rows, (qa, qb), matrix, work)
 
 
 def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex) -> None:
@@ -186,34 +262,64 @@ def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex
     view *= np.complex128(factor)
 
 
-def apply_permutation(a: np.ndarray, conditions: tuple[int, ...], flipped: int,
-                      y: bool = False, work=None) -> None:
+def _put(target: np.ndarray, source: np.ndarray, y: bool, sign: int) -> None:
+    """``target = source``, times -i (``sign`` -1) or +i (``sign`` 1) with ``y``.
+
+    -i (x + iy) = y - ix and +i (x + iy) = -y + ix: real and imaginary parts
+    trade places and one is negated, which is exact.
+    """
+    if not y:
+        np.copyto(target, source)
+    elif sign < 0:
+        np.copyto(target.real, source.imag)
+        np.negative(source.real, out=target.imag)
+    else:
+        np.negative(source.imag, out=target.real)
+        np.copyto(target.imag, source.real)
+
+
+def move_rows(sources, targets, conditions: tuple[int, ...], flipped: int,
+              y: bool = False, work=None) -> None:
     """Swap the elements that differ only in bit ``flipped`` where ``conditions`` read 1.
 
-    The arguments after ``a`` are a ``gates.Permutation``.  Both sides of
-    the swap are copied into two buffers of ``a``'s dtype, carved from
-    ``work`` or new, and written back crosswise.  Two views of one array
-    never meet in a copy: their bounds overlap, so numpy would first copy
-    the whole source.  With ``y`` the crosswise writes exchange real and
-    imaginary parts and negate one, multiplying by -i and +i exactly; that
-    needs complex ``a``.
+    The rows act as one array as in ``apply_rows``, and the arguments after
+    the rows are a ``gates.Permutation`` on its bits.  Each side of the swap
+    is written crosswise into the other side's target; elements outside the
+    sides are not written, so a target that is not its source must already
+    hold them.  Two sides both updated in place are first copied into two
+    buffers of their dtype, carved from ``work`` or new: two views of one
+    array never meet in a copy, as their bounds may overlap and numpy would
+    then first copy the whole source.  Otherwise nothing is buffered: where
+    one side is in place, the other side's target is written first.  With
+    ``y`` the side that lands where ``flipped`` reads 0 is multiplied by -i
+    and the other by +i; that needs complex rows.
     """
-    if y and a.dtype.kind != "c":
-        raise TypeError(f"a phase needs complex elements, not {a.dtype}")
-    bits, ones = tuple(conditions) + (flipped,), (1,) * len(conditions)
-    v0, v1 = bit_view(a, bits, ones + (0,)), bit_view(a, bits, ones + (1,))
-    b0, b1 = _carve(work, 2, v0.shape, a.dtype)
-    np.copyto(b0, v0)
-    np.copyto(b1, v1)
-    if not y:
-        np.copyto(v0, b1)
-        np.copyto(v1, b0)
-        return
-    # -i (x + iy) = y - ix and +i (x + iy) = -y + ix
-    np.copyto(v0.real, b1.imag)
-    np.negative(b1.real, out=v0.imag)
-    np.negative(b0.imag, out=v1.real)
-    np.copyto(v1.imag, b0.real)
+    if y and sources[0].dtype.kind != "c":
+        raise TypeError(f"a phase needs complex elements, not {sources[0].dtype}")
+    bits = tuple(conditions) + (flipped,)
+    low = (1 << len(conditions)) - 1
+    which = (low, low | 1 << len(conditions))
+    (r0, s0), (r1, s1) = _views(sources, bits, which)
+    t0, t1 = (view for _, view in _views(targets, bits, which))
+    in_place = [sources[r] is targets[r] for r in (r0, r1)]
+    if all(in_place):
+        b0, b1 = _carve(work, 2, s0.shape, s0.dtype)
+        np.copyto(b0, s0)
+        np.copyto(b1, s1)
+        s0, s1 = b0, b1
+    if in_place[0] and not in_place[1]:
+        _put(t1, s0, y, 1)
+        _put(t0, s1, y, -1)
+    else:
+        _put(t0, s1, y, -1)
+        _put(t1, s0, y, 1)
+
+
+def apply_permutation(a: np.ndarray, conditions: tuple[int, ...], flipped: int,
+                      y: bool = False, work=None) -> None:
+    """``move_rows`` on the one array ``a``, in place: both sides are buffered."""
+    rows = (a,)
+    move_rows(rows, rows, conditions, flipped, y, work)
 
 
 def _rows(matrix: np.ndarray, xs) -> np.ndarray:

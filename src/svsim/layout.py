@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gates as g
 from .circuit import MAX_QUBITS
 from .state import PrecisionMode
@@ -67,26 +69,39 @@ HELD_WRITE_BYTES = 18
 TUPLE_TABLE_BYTES = 2 << 16
 
 
+def cast_buffer_bytes() -> int:
+    """What numpy allocates while an fp32 diagonal gate scales its storage.
+
+    Multiplying complex64 storage by a complex128 factor in place casts the
+    operand in and the result out through one buffer each, of
+    ``np.getbufsize()`` complex128 elements: 264,360 B traced per call at
+    the default 8192.
+    """
+    return 2 * np.getbufsize() * 16
+
+
 def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     """Most memory a run on ``layout`` is built to hold at once, in bytes.
 
     Storage, the payloads an exchange queues before its first member computes
     (1 - 2**-k of the state, k <= 2), ``RANK_OVERHEAD_BYTES`` per rank, and
-    complex128 copies of one rank's slice: 4 for a kernel's working set, or 8
-    for byte mode's codec.  A kernel holds a stacked buffer and, computing in
-    place, at most two more copies: the gathered components with one
-    accumulator and one term buffer, or half a slice saved and one term
-    buffer when the pair's halves are contiguous complex128.  X, Y and CNOT
-    swap through two buffers that together hold at most one copy.  A
-    diagonal gate scales a view in place.  Measurement holds a slice's
-    squared magnitudes (half a copy), their column and row sums and, unless
-    storage is complex128, the decoded slice; a measured rank qubit holds its
-    stacked pair: at most 2 copies.
+    complex128 copies of one rank's slice: 2 in the fp modes, or 8 for byte
+    mode's codec.
 
     In the fp modes that budget pays for memory a run holds from start to
     end: the queued term for the outbox every exchange carves its payloads
-    from, and the 4 copies for the workspace, sized to the largest of those
-    working sets (at most 2.5 copies: an exchanged two-qubit gate).
+    from, and the 2 copies for the workspace.  A gate computes on its rows
+    where they lie, the received payloads and the parts of storage it reads
+    and writes, a piece of at most ``engine.LOCAL_BLOCK`` amplitudes at a
+    time; its kernel gathers the piece's components, with one accumulator
+    and one term buffer, or saves one component and one term buffer, or
+    swaps through two buffers of one component, and never holds more than
+    two pieces.  A diagonal gate scales a view in place, which in fp32
+    takes numpy's two cast buffers (``cast_buffer_bytes``).  Measurement holds
+    the most: a slice's squared magnitudes (half a copy), their column and
+    row sums and, unless storage is complex128, the decoded slice; a
+    measured rank qubit holds its stacked pair.  That is at most 2 copies,
+    and the workspace is sized to the largest of those working sets.
 
     Byte mode adds the writes every rank holds until the codebook barrier,
     ``HELD_WRITE_BYTES`` per amplitude of the state at worst: each code
@@ -101,10 +116,12 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     storage = memory_bytes(layout.total_qubits, mode)
     queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))
     byte = mode is PrecisionMode.BYTE
-    peak = (storage + queued + (8 if byte else 4) * layout.local_size * 16
+    peak = (storage + queued + (8 if byte else 2) * layout.local_size * 16
             + layout.rank_count * RANK_OVERHEAD_BYTES)
     if byte:
         peak += (HELD_WRITE_BYTES << layout.total_qubits) + TUPLE_TABLE_BYTES
+    elif mode is PrecisionMode.FP32:
+        peak += cast_buffer_bytes()
     return peak
 
 

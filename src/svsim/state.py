@@ -10,14 +10,17 @@ exchanges):
   BYTE: uint16 codes, 2 bytes per amplitude: magnitude index x 256 + phase
         index into the run's codebook tables
 
-An exchanged gate, and every byte-mode gate, computes on ``stack``ed rows:
-complex128 amplitudes in the fp modes, and in BYTE mode the stored codes as
-they are.  A byte-mode gate's result at a position depends only on the codes
-it combines, so the engine works on distinct code tuples and decodes
-(``values``) and encodes (``encode``) only those; ``store`` takes codes
-back.  A caller may pass the memory that stacked rows and payloads fill, so
-that a run stacks and sends without allocating.  A BYTE partition holds the run's one ``Codebook``, shared by every
-partition, and decodes and encodes through it; callers pass no codebook.
+A gate computes on rows where they lie: parts of ``data`` (``view``) and
+the payloads other partitions sent (``payload``), and writes its results
+straight into the parts they belong to.  A BYTE gate's result at a position
+depends only on the codes it combines, so the engine works on distinct code
+tuples, decodes (``values``) and encodes (``encode``) only those, and
+``store``s codes back.  Measurement, ``amplitudes`` and ``working`` read
+``stack``ed rows: complex128 amplitudes in the fp modes, and in BYTE mode the
+stored codes as they are.  A caller may pass the memory that stacked rows
+and payloads fill, so that a run stacks and sends without allocating.  A
+BYTE partition holds the run's one ``Codebook``, shared by every partition,
+and decodes and encodes through it; callers pass no codebook.
 """
 from __future__ import annotations
 
@@ -114,7 +117,7 @@ class LocalState:
         return out
 
     def stack(self, parts, work=None) -> np.ndarray:
-        """What a gate computes on: one row per part, in ascending index order.
+        """What measurement reads: one row per part, in ascending index order.
 
         A part is what ``view`` or ``payload`` gives.  Rows hold complex128
         amplitudes in the fp modes and the stored 16-bit codes in BYTE mode.
@@ -149,7 +152,7 @@ class LocalState:
         return codes
 
     def store(self, data: np.ndarray, where=()) -> None:
-        """Write back at ``where``: values in the fp modes, codes in BYTE mode.
+        """Write at ``where``: values in the fp modes, codes in BYTE mode.
 
         ``where`` is a ``(bits, values)`` pair as ``kernels.bit_view`` takes
         it, and ``()`` names the whole slice; positions outside it keep what

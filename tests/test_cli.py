@@ -109,6 +109,16 @@ def test_layout_tier_and_memory_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("svsim: ")
 
 
+@pytest.mark.parametrize("lookahead", ["0", "8"])
+def test_a_lookahead_without_tiering_exits_2(lookahead, capsys):
+    # the same value was ignored without tiering and refused with it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--builder", "benchmark:8", "--lookahead", lookahead])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        "svsim: --lookahead needs --fast-bytes and --chunk-bytes\n")
+
+
 @pytest.mark.parametrize("ranks", [256, 1024])
 def test_too_many_ranks_name_the_qubits_they_need(ranks, capsys):
     with pytest.raises(SystemExit) as exit_info:
