@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .builders import build_adder, build_benchmark
@@ -62,10 +63,17 @@ def _make_parser() -> argparse.ArgumentParser:
 def _load_circuit(args, parser: argparse.ArgumentParser) -> Circuit:
     if args.circuit is not None:
         try:
-            with open(args.circuit, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.circuit, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             parser.exit(2, f"svsim: cannot open {args.circuit}: {exc.strerror}\n")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the text before the bad byte decodes, and one more character
+            # makes splitlines count the line the byte is on
+            line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+            raise ParseError(line_no, f"not UTF-8 text (byte {data[exc.start]:#04x})") from None
         return parse_circuit(text)
 
     parts = args.builder.split(":")
@@ -99,7 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, "svsim: --lookahead needs --fast-bytes and --chunk-bytes\n")
 
     # opened before the run, so an unwritable path costs no simulation; "a"
-    # leaves an existing file as it is until the report replaces it
+    # leaves an existing file as it is until the report replaces it, and a
+    # file this run creates goes again if the run fails
+    created = bool(args.out) and not os.path.lexists(args.out)
     out = None
     if args.out:
         try:
@@ -107,31 +117,36 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
 
-    with out or contextlib.nullcontext():
-        try:
-            lookahead = (TierConfig.lookahead_window if args.lookahead is None
-                         else args.lookahead)
-            tier_config = (None if args.fast_bytes is None else
-                           TierConfig(args.fast_bytes, args.chunk_bytes, lookahead))
-            if args.optimize_labels:
-                layout = partition(circuit.n_qubits, args.ranks)
-                circuit = relabel(circuit, optimize_labels(circuit, layout))
-            result = run_circuit(circuit, ranks=args.ranks, mode=MODES[args.mode],
-                                 tier_config=tier_config)
-        except ValueError as exc:
-            parser.exit(2, f"svsim: {exc}\n")
+    try:
+        with out or contextlib.nullcontext():
+            try:
+                lookahead = (TierConfig.lookahead_window if args.lookahead is None
+                             else args.lookahead)
+                tier_config = (None if args.fast_bytes is None else
+                               TierConfig(args.fast_bytes, args.chunk_bytes, lookahead))
+                if args.optimize_labels:
+                    layout = partition(circuit.n_qubits, args.ranks)
+                    circuit = relabel(circuit, optimize_labels(circuit, layout))
+                result = run_circuit(circuit, ranks=args.ranks, mode=MODES[args.mode],
+                                     tier_config=tier_config)
+            except ValueError as exc:
+                parser.exit(2, f"svsim: {exc}\n")
 
-        rendered = build_report(result).render(args.report)
-        if out is None:
-            sys.stdout.write(rendered)
-            return 0
-        try:
-            if out.seekable():
-                out.truncate(0)
-            out.write(rendered)
-            out.flush()
-        except OSError as exc:
-            parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
+            rendered = build_report(result).render(args.report)
+            if out is None:
+                sys.stdout.write(rendered)
+                return 0
+            try:
+                if out.seekable():
+                    out.truncate(0)
+                out.write(rendered)
+                out.flush()
+            except OSError as exc:
+                parser.exit(2, f"svsim: cannot write {args.out}: {exc.strerror}\n")
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     return 0
 
 

@@ -1,27 +1,30 @@
 """Distributed execution of a circuit over in-process rank workers.
 
-Every gate runs as a bulk-synchronous round.  A diagonal gate, or one whose
-qubits are all local, applies independently on each rank.  Every other gate
-goes through the one group exchange of ``exchange``, as do measured qubits
-in the rank bits: the 2**k ranks that differ in the gate's k rank bits trade
-the parts each member owns, and each member computes on the rows of its own
-part, one per member.  Every member's results go back into that member's
-part within the same round through process-shared memory rather than a
-second counted transfer.  Ledger bytes therefore equal the planned exchange
-volume, 1 - 2**-k of the local elements per rank at the storage mode's bytes
-per element, and each send charges exactly what it carries.
+Every gate runs as a bulk-synchronous round, and there are two kinds of
+round besides measurement.  A diagonal gate applies independently on each
+rank whose rank bits its qubits read as one.  Every other gate goes through
+the one group exchange of ``exchange``, as do measured qubits in the rank
+bits: the 2**k ranks that differ in the gate's k rank bits trade the parts
+each member owns, and each member computes on the rows of its own part, one
+per member.  A gate whose qubits are all local has k = 0: its group is one
+rank, its one row is the slice, and nothing is sent.  Every member's results
+go back into that member's part within the same round through
+process-shared memory rather than a second counted transfer.  Ledger bytes
+therefore equal the planned exchange volume, 1 - 2**-k of the local elements
+per rank at the storage mode's bytes per element, and each send charges
+exactly what it carries.
 
 In the fp modes a matrix or permutation gate computes on rows, taken as one
-array in which the gate's high bits select the row.  An exchanged gate's rows
-are the visiting rank's own part, read where it sits in storage, and each
-received payload as it arrived; each row's results are written straight into
-its member's part.  A local gate's row is the slice.  A gate bit of a row
-that a piece of ``LOCAL_BLOCK`` amplitudes cannot hold splits every row into
-halves (or quarters) at it, and the rows are then walked together in
-pieces of ``LOCAL_BLOCK`` amplitudes in all, so no kernel call covers more
-than a block and nothing is stacked or stored back.  A diagonal gate takes
-the rank's slice whole: one ``apply_diagonal`` call scales its view in
-place, so blocking would only add calls.
+array in which the gate's high bits select the row.  The rows are the
+visiting rank's own part, read where it sits in storage, and each received
+payload as it arrived; each row's results are written straight into its
+member's part.  A gate bit of a row that a piece of ``LOCAL_BLOCK``
+amplitudes cannot hold splits every row into halves (or quarters) at it,
+and the rows are then walked together in pieces of ``LOCAL_BLOCK``
+amplitudes in all, so no kernel call covers more than a block and nothing is
+stacked or stored back.  A diagonal gate takes the rank's slice whole: one
+``apply_diagonal`` call scales its view in place, so blocking would only add
+calls.
 
 X, Y and CNOT only move amplitudes (``gates.permutation``).  They run as
 crosswise copies from their source rows into their target rows in the
@@ -71,11 +74,11 @@ allocates anything of a slice's size.  The workspace, one complex128 array,
 holds the largest working set of any gate or measurement: a kernel's
 gathered components, accumulator, term buffer or saved component on one
 piece, a permutation's swap buffers in the rows' dtype, or measurement's
-squares and their sums and its stacked pair.  The outbox, one storage-dtype
-array, holds the largest exchange's queued payloads, and every exchange
-carves its payloads from it again.  Byte mode takes neither: its codec
-allocates what it computes on, and its code swaps allocate their own
-buffers.
+squares and their sums and, in fp32, the rows it casts.  The outbox, one
+storage-dtype array, holds the largest exchange's queued payloads, and
+every exchange carves its payloads from it again.  Byte mode takes neither:
+its codec allocates what it computes on, and its code swaps allocate their
+own buffers.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ import numpy as np
 from . import gates as g
 from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
-from .exchange import group_exchange, stacked_qubits
+from .exchange import group_exchange, row_qubits
 from .kernels import (apply_diagonal, apply_pair_arrays, apply_permutation,
                       apply_quad_arrays, apply_rows, apply_single, apply_two, bit_view,
                       move_rows, row_components, work_elements)
@@ -290,10 +293,10 @@ class _Engine:
             if gate.kind == "M":
                 self.report = measure_all(self.states, self.layout, self.transport,
                                           self.rank_order, self.work, self.outbox)
-            elif plan.kind == "none":
-                self._apply_local(gate)
+            elif g.is_diagonal(gate):
+                self._apply_diagonal(gate)
             else:
-                self._apply_exchange(gate, plan)
+                self._apply_rows(gate, plan)
         except TransportError as exc:
             raise RuntimeError(f"gate {ordinal} ({gate.kind}): {exc}") from exc
         for ledger in self.ledgers:
@@ -304,35 +307,29 @@ class _Engine:
         move = g.permutation(gate)
         return self.codebook is not None and (move is None or move.y)
 
-    def _apply_local(self, gate: g.Gate) -> None:
-        """In place on storage; byte mode's codec gates on the codes they read."""
+    def _apply_diagonal(self, gate: g.Gate) -> None:
+        """In place on storage, where all the gate's qubits read one."""
         n_local = self.layout.local_qubits
-        codec = self._on_codec(gate)
-        qubits, where, rank_bits = gate.qubits, ((), ()), 0
-        if g.is_diagonal(gate):
-            # a diagonal gate acts only where all its qubits read one
-            rank_bits = sum(1 << (q - n_local) for q in qubits if q >= n_local)
-            qubits = tuple(q for q in qubits if q < n_local)
-            if codec:
-                # byte mode reads only that region, as the gate's one component
-                where, qubits = (qubits, (1,) * len(qubits)), ()
+        rank_bits = sum(1 << (q - n_local) for q in gate.qubits if q >= n_local)
+        qubits = tuple(q for q in gate.qubits if q < n_local)
+        # byte mode reads only that region, as the gate's one component
+        where = (qubits, (1,) * len(qubits))
         for rank in self.rank_order:
             if rank & rank_bits != rank_bits:
                 continue
-            row = (self.states[rank].data, *where)
-            if codec:
-                self._apply_codes(rank, gate, [row], [(rank, *where)], qubits, n_local)
-            elif g.is_diagonal(gate):
+            if self.codebook is None:
                 # scaling a view in place needs no workspace, so it is not split
-                apply_diagonal(row[0], qubits, g.diagonal_factor(gate))
+                apply_diagonal(self.states[rank].data, qubits, g.diagonal_factor(gate))
             else:
-                _apply_in_pieces(gate, [row], [row], qubits, n_local, self.work)
+                self._apply_codes(rank, gate, [(self.states[rank].data, *where)],
+                                  [(rank, *where)], (), n_local)
         self._commit()
 
-    def _apply_exchange(self, gate: g.Gate, plan: ExchangePlan) -> None:
+    def _apply_rows(self, gate: g.Gate, plan: ExchangePlan) -> None:
+        """A matrix or permutation gate on its group's rows; a local gate's group is one rank."""
         n_local = self.layout.local_qubits
         width = n_local - len(plan.masks)
-        qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
+        qubits = row_qubits(gate.qubits, n_local, plan.masks)
         codec = self._on_codec(gate)
         for rank, members, own, rows in group_exchange(
                 self.states, self.transport, plan.masks, self.rank_order, gate.qubits,

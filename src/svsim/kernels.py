@@ -134,7 +134,7 @@ def work_elements(size: int, qubits: tuple[int, ...], dtype=np.complex128,
 
 @functools.lru_cache(maxsize=1024)
 def row_components(bits: tuple[int, ...], width: int) -> tuple:
-    """Where each component of a gate on stacked rows lies, in gate basis order.
+    """Where each component of a gate on aligned rows lies, in gate basis order.
 
     The rows act as one array in which row r holds the indices from
     r * 2**width on, and ``bits`` are the gate's qubits as bits of it.  A bit

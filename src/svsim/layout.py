@@ -69,13 +69,16 @@ HELD_WRITE_BYTES = 18
 TUPLE_TABLE_BYTES = 2 << 16
 
 
-def cast_buffer_bytes() -> int:
-    """What numpy allocates while an fp32 diagonal gate scales its storage.
+def ufunc_buffer_bytes() -> int:
+    """What numpy allocates while a diagonal gate in an fp mode scales its storage.
 
-    Multiplying complex64 storage by a complex128 factor in place casts the
-    operand in and the result out through one buffer each, of
-    ``np.getbufsize()`` complex128 elements: 264,360 B traced per call at
-    the default 8192.
+    An in-place multiply takes one buffer for its operand and one for its
+    result, of ``np.getbufsize()`` complex128 elements each, whenever it
+    buffers: on a cast, which complex64 storage times a complex128 factor
+    always takes, or when the view's contiguous runs are shorter than a
+    buffer.  On 2**16 amplitudes, traced ``apply_diagonal`` calls took
+    263.5 KB in fp32 on every bit, and in fp64 263.6 KB on bits 1-11 and on
+    (0, 5) but under 2 KB on bits 0 and 12-15, at the default 8192.
     """
     return 2 * np.getbufsize() * 16
 
@@ -86,7 +89,7 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     Storage, the payloads an exchange queues before its first member computes
     (1 - 2**-k of the state, k <= 2), ``RANK_OVERHEAD_BYTES`` per rank, and
     complex128 copies of one rank's slice: 2 in the fp modes, or 8 for byte
-    mode's codec.
+    mode's codec.  The fp modes add numpy's buffers (``ufunc_buffer_bytes``).
 
     In the fp modes that budget pays for memory a run holds from start to
     end: the queued term for the outbox every exchange carves its payloads
@@ -96,12 +99,13 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     time; its kernel gathers the piece's components, with one accumulator
     and one term buffer, or saves one component and one term buffer, or
     swaps through two buffers of one component, and never holds more than
-    two pieces.  A diagonal gate scales a view in place, which in fp32
-    takes numpy's two cast buffers (``cast_buffer_bytes``).  Measurement holds
-    the most: a slice's squared magnitudes (half a copy), their column and
-    row sums and, unless storage is complex128, the decoded slice; a
-    measured rank qubit holds its stacked pair.  That is at most 2 copies,
-    and the workspace is sized to the largest of those working sets.
+    two pieces.  A diagonal gate scales a view in place, which can take
+    numpy's two buffers.  Measurement holds the most: a slice's squared
+    magnitudes (half a copy), their column and row sums and, in fp32, the
+    slice cast to complex128, whose front half-slices later hold a measured
+    rank qubit's two rows.  Fp64 rows are read where they lie.  That is at
+    most 2 copies, and the workspace is sized to the largest of those
+    working sets.
 
     Byte mode adds the writes every rank holds until the codebook barrier,
     ``HELD_WRITE_BYTES`` per amplitude of the state at worst: each code
@@ -119,10 +123,8 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     peak = (storage + queued + (8 if byte else 2) * layout.local_size * 16
             + layout.rank_count * RANK_OVERHEAD_BYTES)
     if byte:
-        peak += (HELD_WRITE_BYTES << layout.total_qubits) + TUPLE_TABLE_BYTES
-    elif mode is PrecisionMode.FP32:
-        peak += cast_buffer_bytes()
-    return peak
+        return peak + (HELD_WRITE_BYTES << layout.total_qubits) + TUPLE_TABLE_BYTES
+    return peak + ufunc_buffer_bytes()
 
 
 @dataclass(frozen=True)

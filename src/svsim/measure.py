@@ -4,14 +4,16 @@ For each qubit the report gives the probability of the -1 eigenvalue along
 x, y and z, i.e. (1 - <sigma>) / 2.  With this convention a qubit in |1>
 reads (0.50, 0.50, 1.00) and a qubit in |+> reads (0.00, 0.50, 0.50).
 
-Measurement only reads the state, one rank at a time: each rank's decoded
-copy gives its norm and every local qubit's sums before the next rank is
-decoded.  A qubit at or above the local width is one round of the group
-exchange of ``exchange`` between partner ranks: each rank sends its partner
-the stored half the partner owns, stacks the pair of rows the exchange
-yields, decodes it, and sums the pair products over its own half.  Scalar reductions
-ride the collective channel and cost no counted bytes.  Byte-mode states
-decode with the codebook they hold, so measurement takes none.
+Measurement only reads the state, one rank at a time, and reads its rows
+where they lie, through ``LocalState.values``: each rank's amplitudes give
+its norm and every local qubit's sums before the next rank is read.  A
+qubit at or above the local width is one round of the group exchange of
+``exchange`` between partner ranks: each rank sends its partner the stored
+half the partner owns, reads its own half in storage and the received one
+as it arrived, and sums the pair products over its own half.  Scalar
+reductions ride the collective channel and cost no counted bytes.
+Byte-mode states decode with the codebook they hold, so measurement takes
+none.
 
 A slice's ``|a|**2`` is computed once; after that, each sum reads its data
 once and writes nothing of a slice's size.  The squares, viewed as 2**(n-k)
@@ -20,17 +22,19 @@ every local qubit's one-weight is a sum over 2**k or 2**(n-k) of those.
 Each cross sum adds up conjugating dot products (``np.vecdot``), one per
 pair of blocks the qubit couples.  For the ``LOW_QUBITS`` lowest qubits the
 blocks are columns of transposed chunks of rows of 16 amplitudes; for every
-higher qubit they are read in place.  A measured rank qubit's stacked pair
-rows are contiguous, so its cross sum is one ``np.vdot``.  The norm is
+higher qubit they are read in place.  A measured rank qubit's two rows are
+each contiguous, so its cross sum is one ``np.vdot``.  The norm is
 ``np.vdot`` of the slice with itself.
 
 Measurement computes in a workspace of ``work_elements`` complex128
 elements: the run's, or one it allocates per call.  Its front holds the
 squares and their column and row sums; once those are summed, it holds a
 transposed chunk or the dot products of one qubit's blocks.  Fp64 slices
-are read in storage; fp32 slices are decoded after the front, and byte-mode
-slices into a new array.  A measured rank qubit stacks its pair at the
-front.  The sums do not depend on the workspace's contents or offset.
+are read in storage; fp32 slices are cast after the front, and byte-mode
+slices decode into a new array.  A measured rank qubit's rows are read the
+same way: in place in fp64, cast into one half each of the workspace's
+front in fp32, and decoded into new arrays in byte mode.  The sums do not
+depend on the workspace's contents or offset.
 """
 from __future__ import annotations
 
@@ -94,14 +98,13 @@ def work_elements(layout: PartitionLayout, mode: PrecisionMode) -> int:
     """Complex128 elements of the workspace ``measure_all`` computes in.
 
     A rank's local sums take ``_front_elements``: its slice's squared
-    magnitudes and their column and row sums.  Storage that is not
-    complex128 is stacked after them to be decoded.  A measured rank qubit
-    takes the exchange's stacked pair.
+    magnitudes and their column and row sums.  Fp32 storage is cast after
+    them; a measured rank qubit's two fp32 rows, half a slice each, then fit
+    in the same elements.  Fp64 is read in place, and byte mode decodes into
+    new arrays.
     """
-    size = layout.local_size
-    rows = -(-size * mode.row_dtype.itemsize // 16)
-    local = _front_elements(layout.local_qubits) + (0 if mode.dtype == np.complex128 else rows)
-    return max(local, rows) if layout.rank_count > 1 else local
+    cast = layout.local_size if mode is PrecisionMode.FP32 else 0
+    return _front_elements(layout.local_qubits) + cast
 
 
 def _low_cross(amps: np.ndarray, buffer: np.ndarray) -> list[complex]:
@@ -161,7 +164,7 @@ def measure_all(states: list[LocalState], layout: PartitionLayout, transport: Tr
     takes it.
     """
     n_local, n_qubits, n_ranks = layout.local_qubits, layout.total_qubits, layout.rank_count
-    front = _front_elements(n_local)
+    front, half = _front_elements(n_local), layout.local_size // 2
     order = list(rank_order) if rank_order is not None else list(range(n_ranks))
     if work is None:
         work = np.empty(work_elements(layout, states[0].mode), dtype=np.complex128)
@@ -171,14 +174,14 @@ def measure_all(states: list[LocalState], layout: PartitionLayout, transport: Tr
     cross = [[0j] * n_qubits for _ in range(n_ranks)]
     for rank in order:
         norms[rank], ones[rank][:n_local], cross[rank][:n_local] = _local_sums(
-            states[rank].amplitudes(work[front:]), n_local, work[:front])
+            states[rank].values(states[rank].data, work[front:]), n_local, work[:front])
     total_norm = sum(transport.collective(norms))
     for q in range(n_local, n_qubits):
         bit = q - n_local
         for rank, _, _, rows in group_exchange(states, transport, (1 << bit,), order,
                                                outbox=outbox):
-            state = states[rank]
-            a0, a1 = state.values(state.stack([bit_view(*row) for row in rows], work))
+            a0, a1 = (states[rank].values(bit_view(*row), work[p * half:])
+                      for p, row in enumerate(rows))
             cross[rank][q] = complex(np.vdot(a0, a1))
             if (rank >> bit) & 1:
                 ones[rank][q] = norms[rank]

@@ -15,12 +15,12 @@ the payloads other partitions sent (``payload``), and writes its results
 straight into the parts they belong to.  A BYTE gate's result at a position
 depends only on the codes it combines, so the engine works on distinct code
 tuples, decodes (``values``) and encodes (``encode``) only those, and
-``store``s codes back.  Measurement, ``amplitudes`` and ``working`` read
-``stack``ed rows: complex128 amplitudes in the fp modes, and in BYTE mode the
-stored codes as they are.  A caller may pass the memory that stacked rows
-and payloads fill, so that a run stacks and sends without allocating.  A
-BYTE partition holds the run's one ``Codebook``, shared by every partition,
-and decodes and encodes through it; callers pass no codebook.
+``store``s codes back.  Measurement reads rows where they lie too, through
+``values``, which gives any stored rows as complex128 amplitudes: fp64
+storage as it is, fp32 cast into memory the caller may pass, so that a run
+measures without allocating, and BYTE codes decoded.  A BYTE partition holds
+the run's one ``Codebook``, shared by every partition, and decodes and
+encodes through it; callers pass no codebook.
 """
 from __future__ import annotations
 
@@ -42,11 +42,6 @@ class PrecisionMode(enum.Enum):
         """What storage holds per amplitude: a complex value, or BYTE's code."""
         return np.dtype({PrecisionMode.FP64: np.complex128, PrecisionMode.FP32: np.complex64,
                          PrecisionMode.BYTE: np.uint16}[self])
-
-    @property
-    def row_dtype(self) -> np.dtype:
-        """What ``LocalState.stack`` rows hold: complex128, or BYTE's stored codes."""
-        return np.dtype(np.uint16 if self is PrecisionMode.BYTE else np.complex128)
 
     @property
     def bytes_per_element(self) -> int:
@@ -90,19 +85,10 @@ class LocalState:
         return bit_view(self.data, *where)
 
     def working(self, where=()) -> np.ndarray:
-        """Decoded complex128 copy of the slice, or of its ``where`` part."""
-        return self.values(self.stack([self.view(where)]))[0]
-
-    def amplitudes(self, work=None) -> np.ndarray:
-        """The slice's complex128 amplitudes, to be read and not written.
-
-        Complex128 storage is returned as it is.  Other storage is decoded:
-        stacked in the front of ``work``, as ``stack`` takes it, so fp32
-        allocates nothing there, and BYTE codes decode into a new array.
-        """
-        if self.data.dtype == np.complex128:
-            return self.data
-        return self.values(self.stack([self.view()], work))[0]
+        """Decoded complex128 copy of the slice, or of its ``where`` part, flat."""
+        view = self.view(where)
+        values = self.values(view)
+        return (values.copy() if values is view else values).reshape(-1)
 
     def payload(self, where, out=None) -> np.ndarray:
         """Copy of the stored array at ``where``: what an exchange sends.
@@ -116,28 +102,22 @@ class LocalState:
         out.reshape(view.shape)[...] = view
         return out
 
-    def stack(self, parts, work=None) -> np.ndarray:
-        """What measurement reads: one row per part, in ascending index order.
+    def values(self, stored: np.ndarray, work=None) -> np.ndarray:
+        """The complex128 amplitudes of stored rows: a view, a payload or code tuples.
 
-        A part is what ``view`` or ``payload`` gives.  Rows hold complex128
-        amplitudes in the fp modes and the stored 16-bit codes in BYTE mode.
-        They are new, or the front of ``work``, a 1-D complex128 workspace
-        viewed as the row dtype.
+        Complex128 rows are returned as they are, to be read and not written.
+        Complex64 rows are cast into the front of ``work``, a 1-D complex128
+        array, or into a new array; BYTE codes decode into a new array.
         """
-        shape = (len(parts), parts[0].size)
-        if work is None:
-            rows = np.empty(shape, dtype=self.mode.row_dtype)
-        else:
-            rows = work.view(self.mode.row_dtype)[:shape[0] * shape[1]].reshape(shape)
-        for row, part in zip(rows, parts):
-            row.reshape(part.shape)[...] = part
-        return rows
-
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """Amplitudes ``stack`` rows hold: BYTE codes decode, fp rows are returned."""
         if self.mode is PrecisionMode.BYTE:
-            return self.codebook.decode(rows >> 8, rows & 0xFF)
-        return rows
+            return self.codebook.decode(stored >> 8, stored & 0xFF)
+        if stored.dtype == np.complex128:
+            return stored
+        if work is None:
+            return stored.astype(np.complex128)
+        out = work[:stored.size].reshape(stored.shape)
+        out[...] = stored
+        return out
 
     def encode(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """BYTE: the codes of the ``(r, theta)`` parts that ``canonicalize`` gave.

@@ -85,6 +85,35 @@ def test_existing_out_is_kept_on_a_layout_error_and_replaced_on_success(tmp_path
     assert json.loads(out.read_text())["qubits"] == 8
 
 
+def test_a_circuit_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.qc"
+    path.write_bytes(b"qubits 2\r\nH \xff\nM\n")
+    assert main(["--circuit", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"svsim: {path}: line 2: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--builder", "benchmark:40"],
+    ["--builder", "benchmark:8", "--ranks", "3"],
+    # CNOT 2 3 co-stages four one-amplitude chunks, and the fast tier holds two
+    ["--circuit", "cnot.qc", "--fast-bytes", "32", "--chunk-bytes", "16"],
+])
+def test_a_refused_run_leaves_no_report_file_it_created(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cnot.qc").write_text("qubits 4\nCNOT 2 3\nM\n")
+    out = tmp_path / "new.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(kept)])
+    assert kept.read_text() == "earlier report\n"
+
+
 @pytest.mark.parametrize("line", ["PHASE 0 2000", "CPHASE 0 1 -2000"])
 def test_huge_phase_exponent_runs_as_the_identity(tmp_path, line):
     code, report = _run(tmp_path, "huge", f"qubits 2\nH 0\nH 1\n{line}\nM\n")

@@ -10,6 +10,8 @@ from svsim.layout import PartitionLayout, TrafficLedger
 from svsim.state import LocalState
 from svsim.transport import Transport
 
+from conftest import random_circuit
+
 
 def test_all_ones_state_reads_half_half_one():
     n = 4
@@ -117,7 +119,33 @@ def _slice(rng, mode, n):
 def _sums(state, work):
     """``_local_sums`` of a state, computing in ``work`` as ``measure_all`` does."""
     front = measure._front_elements(state.n_local)
-    return measure._local_sums(state.amplitudes(work[front:]), state.n_local, work[:front])
+    amps = state.values(state.data, work[front:])
+    return measure._local_sums(amps, state.n_local, work[:front])
+
+
+@pytest.mark.parametrize("mode", list(PrecisionMode))
+def test_values_reads_stored_rows_as_complex128(rng, mode):
+    state = run_circuit(random_circuit(rng, 8, 30), ranks=2, mode=mode).states[1]
+    # the slice, a strided view, a payload, and two rows of code tuples
+    rows = [state.data, state.view(((2, 5), (1, 0))), state.payload(((6,), (1,))),
+            np.array([state.payload(((0,), (v,))) for v in (0, 1)])]
+    for stored in rows:
+        work = np.full(stored.size + 5, np.nan + 0j)
+        values = state.values(stored, work)
+        assert values.dtype == np.complex128 and values.shape == stored.shape
+        if mode is PrecisionMode.FP64:
+            assert np.shares_memory(values, stored)
+            continue
+        if mode is PrecisionMode.FP32:
+            expected = stored.astype(np.complex128)
+            assert np.shares_memory(values, work[:stored.size])
+            assert not np.shares_memory(values, work[stored.size:])
+            assert not np.shares_memory(state.values(stored), work)
+        else:
+            expected = state.codebook.decode(stored >> 8, stored & 0xFF)
+            assert not np.shares_memory(values, work)
+        assert values.tobytes() == expected.tobytes()
+        assert state.values(stored).tobytes() == expected.tobytes()
 
 
 def _blocked_sums(amps, n):

@@ -7,24 +7,26 @@ import pytest
 import svsim.engine
 from svsim import Circuit, gates as g
 from svsim.engine import _Engine, run_circuit
-from svsim.exchange import group_exchange, stacked_qubits
+from svsim.exchange import group_exchange, row_qubits
 from svsim.kernels import apply_permutation, apply_single, apply_two, bit_view
-from svsim.state import LocalState, PrecisionMode
+from svsim.state import PrecisionMode
 
 from conftest import haar_unitary, random_circuit
 
 
-def stacked_exchange(self, gate, plan):
-    """An exchanged gate as rows stacked into one buffer, computed, stored back.
+def stacked_rows(self, gate, plan):
+    """A matrix or permutation gate as rows stacked into one buffer, computed, stored back.
 
     Fp rows stack as complex128 and store back rounding; byte mode stacks its
-    codes, and its codec gates read them from the stacked buffer.
+    codes, and its codec gates read them from the stacked buffer.  A local
+    gate's one row is a copy of the slice.
     """
     n_local = self.layout.local_qubits
-    qubits = stacked_qubits(gate.qubits, n_local, plan.masks)
+    qubits = row_qubits(gate.qubits, n_local, plan.masks)
+    dtype = np.complex128 if self.codebook is None else np.uint16
     for rank, members, own, rows in group_exchange(
             self.states, self.transport, plan.masks, self.rank_order, gate.qubits):
-        stacked = self.states[rank].stack([bit_view(*row) for row in rows])
+        stacked = np.array([bit_view(*row).reshape(-1) for row in rows], dtype=dtype)
         if self._on_codec(gate):
             self._apply_codes(rank, gate, [(row, (), ()) for row in stacked],
                               [(member, *own) for member in members], qubits,
@@ -76,7 +78,7 @@ def test_rows_in_pieces_match_the_stacked_arithmetic(monkeypatch, mode, ranks):
     circuit = layout_circuit(np.random.default_rng(ranks), 9, ranks)
     monkeypatch.setattr(svsim.engine, "LOCAL_BLOCK", 1 << 30)
     with monkeypatch.context() as patch:
-        patch.setattr(_Engine, "_apply_exchange", stacked_exchange)
+        patch.setattr(_Engine, "_apply_rows", stacked_rows)
         reference = run_circuit(circuit, ranks=ranks, mode=mode, rank_order_seed=5)
     expected = outcome(reference)
     # blocks of 4 and 16 amplitudes split every gate above them into
@@ -92,10 +94,6 @@ def test_rows_in_pieces_match_the_stacked_arithmetic(monkeypatch, mode, ranks):
 
 @pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
 def test_the_gate_path_holds_nothing_of_a_slice_size(monkeypatch, mode):
-    def no_stack(*args, **kwargs):
-        raise AssertionError("a gate stacked its rows")
-
-    monkeypatch.setattr(LocalState, "stack", no_stack)
     # the largest amplitudes any matrix or permutation kernel call covers
     covered = []
     for name in ("apply_single", "apply_two", "apply_permutation"):

@@ -29,12 +29,12 @@ Six more lines carry one digest each: the tier account of the 50-qubit adder
 and ``TierAccount.account``, which every checkout since tiering has, so they
 compare two checkouts' staging counts at paper scale.
 
-Stored data is read as ``state.stack([state.payload(((), ()))])``: one row
-holding the whole slice, complex128 in the fp modes and the 16-bit codes
-(magnitude index x 256 + phase index) in byte mode.  ``stack`` and
-``payload`` take the same arguments whether storage keeps one array of codes
-or a pair of uint8 index arrays, so the script also runs on checkouts from
-before storage became one array.
+Stored data is read as ``state.payload(((), ()))``, a flat copy of the
+whole slice, which fp modes cast to complex128 and byte mode keeps as its
+16-bit codes (magnitude index x 256 + phase index).  Those are the bytes
+the stacked rows of earlier checkouts gave, so the digests compare across
+that change; ``payload`` has taken this argument since storage became one
+array.
 """
 from __future__ import annotations
 
@@ -110,6 +110,12 @@ def _zero_signs_cleared(values: np.ndarray) -> np.ndarray:
     return values + 0.0 if values.dtype.kind == "c" else values
 
 
+def _stored(state) -> np.ndarray:
+    """A rank's stored slice: complex128 values in the fp modes, codes in byte mode."""
+    data = state.payload(((), ()))
+    return data.astype(np.complex128) if data.dtype.kind == "c" else data
+
+
 def fingerprint(svsim, result) -> tuple[str, str, str]:
     """Digests of the run's state, ledgers, codebook and tiers, of its report,
     and of the first's content with the signs of stored zeros cleared."""
@@ -120,7 +126,7 @@ def fingerprint(svsim, result) -> tuple[str, str, str]:
             digests[part].update(data if isinstance(data, bytes) else repr(data).encode())
             digests[part].update(b"\0")
 
-    stored = [state.stack([state.payload(((), ()))]) for state in result.states]
+    stored = [_stored(state) for state in result.states]
     for values in stored + [result.gathered_state()]:
         put(values.tobytes(), (0,))
         put(_zero_signs_cleared(values).tobytes(), (2,))
