@@ -43,11 +43,12 @@ class Circuit:
     label_permutation: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", g.as_index(self.n_qubits, "qubit count"))
         # before anything of the register's size is built
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}]")
-        if not self.label_permutation:
-            object.__setattr__(self, "label_permutation", tuple(range(self.n_qubits)))
+        labels = tuple(g.as_index(p, "qubit label") for p in self.label_permutation)
+        object.__setattr__(self, "label_permutation", labels or tuple(range(self.n_qubits)))
 
 
 @dataclass(frozen=True)

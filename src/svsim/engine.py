@@ -18,13 +18,13 @@ In the fp modes a matrix or permutation gate computes on rows, taken as one
 array in which the gate's high bits select the row.  The rows are the
 visiting rank's own part, read where it sits in storage, and each received
 payload as it arrived; each row's results are written straight into its
-member's part.  A gate bit of a row that a piece of ``LOCAL_BLOCK``
-amplitudes cannot hold splits every row into halves (or quarters) at it,
-and the rows are then walked together in pieces of ``LOCAL_BLOCK``
-amplitudes in all, so no kernel call covers more than a block and nothing is
-stacked or stored back.  A diagonal gate takes the rank's slice whole: one
-``apply_diagonal`` call scales its view in place, so blocking would only add
-calls.
+member's part.  The rows are cut into chunks of contiguous amplitudes, and
+a gate bit above a chunk couples chunks as a rank bit couples ranks: each
+kernel call computes on one coupled group of chunks, at most
+``LOCAL_BLOCK`` amplitudes in all (``_apply_in_pieces`` states the rule), so
+nothing is stacked or stored back.  A diagonal gate takes the rank's slice
+whole: one ``apply_diagonal`` call scales its view in place, so blocking
+would only add calls.
 
 X, Y and CNOT only move amplitudes (``gates.permutation``).  They run as
 crosswise copies from their source rows into their target rows in the
@@ -50,7 +50,7 @@ to them through ``apply_diagonal``, ``apply_pair_arrays`` or
 the barrier, which stays per gate, it encodes the distinct results and
 scatters their codes through the tuple indices straight into the parts they
 belong to.  Proposals depend only on the set of produced values, so tables and
-bytes are those of a whole-slice decode.  Byte mode takes no pieces: its codec
+bytes are those of a whole-slice decode.  Byte mode takes no chunks: its codec
 already works on distinct tuples.
 
 Ranks are visited in a configurable order; all results and counters are
@@ -73,12 +73,12 @@ its states and dropped with them, so no gate, exchange or measurement
 allocates anything of a slice's size.  The workspace, one complex128 array,
 holds the largest working set of any gate or measurement: a kernel's
 gathered components, accumulator, term buffer or saved component on one
-piece, a permutation's swap buffers in the rows' dtype, or measurement's
-squares and their sums and, in fp32, the rows it casts.  The outbox, one
-storage-dtype array, holds the largest exchange's queued payloads, and
-every exchange carves its payloads from it again.  Byte mode takes neither:
-its codec allocates what it computes on, and its code swaps allocate their
-own buffers.
+group of chunks, a permutation's swap buffers in the rows' dtype, or
+measurement's squares and their sums and, in fp32, the rows it casts.  The
+outbox, one storage-dtype array, holds the largest exchange's queued
+payloads, and every exchange carves its payloads from it again.  Byte mode
+takes neither: its codec allocates what it computes on, and its code swaps
+allocate their own buffers.
 """
 from __future__ import annotations
 
@@ -150,9 +150,9 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
     """The plan of ``circuit`` on ``layout``; raises ``ValueError`` if infeasible.
 
     The workspace holds the largest working set of any gate or measurement:
-    a kernel's buffers on one piece of its rows, at most ``LOCAL_BLOCK``
-    amplitudes, or measurement's.  The outbox holds the payloads of the
-    largest exchange, a measurement round's included.
+    a kernel's buffers on one coupled group of chunks, at most
+    ``LOCAL_BLOCK`` amplitudes, or measurement's.  The outbox holds the
+    payloads of the largest exchange, a measurement round's included.
     """
     n_local, size = layout.local_qubits, layout.local_size
     exchanges = tuple(plan_exchange(layout, gate, mode) for gate in circuit.gates)
@@ -441,58 +441,43 @@ def _row_bits(bits, fixed) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _run(array: np.ndarray, steps, start: int, piece: int) -> np.ndarray:
-    """A row's elements ``start`` to ``start + piece``, one contiguous run of ``array``.
+def _chunks(row, c: int) -> list[np.ndarray]:
+    """A row's chunks of 2**c elements, in order, each a contiguous run of its array.
 
-    ``steps`` are the row's fixed bits and their values, ascending; each is
-    inserted into ``start`` to find where the run begins.
+    The row's fixed bits lie at or above c and next to one another, as in every
+    row ``group_exchange`` yields, so its view splits into chunks without a copy.
     """
-    for b, v in steps:
-        start = (start >> b << (b + 1)) | (v << b) | (start & ((1 << b) - 1))
-    return array[start:start + piece]
+    view = bit_view(*row)
+    return [x for run in view.reshape(-1, view.shape[-1] >> c, 1 << c, copy=False) for x in run]
 
 
 def _apply_in_pieces(gate: g.Gate, sources: list, targets: list, qubits: tuple[int, ...],
                      width: int, work) -> None:
-    """Apply ``gate`` across aligned rows, ``LOCAL_BLOCK`` amplitudes of them at a time.
+    """Apply ``gate`` across aligned rows, one coupled group of chunks at a time.
 
     Rows are ``(array, bits, values)`` triples of 2**width elements, taken
     as one array with row r after row r - 1, and ``qubits`` are the gate's
     bits of it.  A target that is its source (the same triple) is updated in
-    place; every other source is a scratch copy.  A gate bit of a row that a
-    piece cannot hold with its pair splits every row in two at it, highest
-    first, so the rows become halves or quarters.  Then each piece is one
-    contiguous run of every row, and the kernel sees the gate's remaining
-    bits inside it.
+    place; every other source is a scratch copy.  The rows are cut into
+    chunks of 2**c contiguous elements, c the widest that is no wider than a
+    row or its lowest fixed bit and at which the 2**j chunks the gate's j
+    bits at or above c couple hold at most ``LOCAL_BLOCK`` elements.  Those
+    bits couple chunks as rank bits couple ranks, and each kernel call
+    computes on one coupled group, taken as rows of 2**c.
     """
-    while True:
-        piece = max(LOCAL_BLOCK >> (len(sources).bit_length() - 1), 1)
-        # a run of a row between its fixed bits is contiguous
-        piece = min([piece, 1 << width] + [1 << min(bits) for _, bits, _ in sources + targets
-                                          if bits])
-        high = [b for b in qubits if b < width and 2 << b > piece]
-        if not high:
-            break
-        # the split bit becomes the top bit of the row index
-        split, top = max(high), width - 1 + len(sources).bit_length() - 1
-        halves = [[(array, bits + _row_bits((split,), bits), values + (v,))
-                   for array, bits, values in sources] for v in (0, 1)]
-        targets = [s if t is old else (t[0], t[1] + _row_bits((split,), t[1]), t[2] + (v,))
-                   for v, half in enumerate(halves)
-                   for s, t, old in zip(half, targets, sources)]
-        sources = halves[0] + halves[1]
-        qubits = tuple(top if b == split else b - (b > split) for b in qubits)
-        width -= 1
-    shift = width - (piece.bit_length() - 1)
-    bits = tuple(b if b < width else b - shift for b in qubits)
+    block = LOCAL_BLOCK.bit_length() - 1
+    widest = min([width, block] + [min(bits) for _, bits, _ in sources + targets if bits])
+    c = next((c for c in range(widest, 0, -1) if c + sum(b >= c for b in qubits) <= block), 0)
+    high = sorted(b for b in qubits if b >= c)
+    bits = tuple(b if b < c else c + high.index(b) for b in qubits)
     move = g.permutation(gate, bits)
     matrix = None if move is not None else g.unitary_matrix(gate)
-    starts = range(0, 1 << width, piece)
-    if len(sources) == 1 and targets[0] is sources[0]:
-        # one row in place, a whole slice: the array kernels, block by block
-        array = sources[0][0]
-        for start in starts:
-            psi = array[start:start + piece]
+    in_place = all(t is s for s, t in zip(sources, targets))
+    cut = [_chunks(s, c) for s in sources]
+    src = [chunk for chunks in cut for chunk in chunks]
+    if not high and in_place:
+        # one chunk in place per call: the array kernels
+        for psi in src:
             if move is not None:
                 apply_permutation(psi, *move, work=work)
             elif len(bits) == 1:
@@ -500,15 +485,21 @@ def _apply_in_pieces(gate: g.Gate, sources: list, targets: list, qubits: tuple[i
             else:
                 apply_two(psi, bits[0], bits[1], matrix, work=work)
         return
-    reads = [(array, sorted(zip(fixed, values))) for array, fixed, values in sources]
-    writes = [None if t is s else (t[0], sorted(zip(t[1], t[2])))
-              for s, t in zip(sources, targets)]
-    in_place = not any(writes)
-    for start in starts:
-        src = [_run(array, steps, start, piece) for array, steps in reads]
-        tgt = src if in_place else [s if at is None else _run(*at, start, piece)
-                                    for s, at in zip(src, writes)]
+    # a target that is its source takes the source's chunks, the same objects
+    tgt = src if in_place else [chunk for s, t, chunks in zip(sources, targets, cut)
+                                for chunk in (chunks if t is s else _chunks(t, c))]
+    # chunk i holds elements i * 2**c on, so gate bit b >= c is bit b - c of i;
+    # a group's member m is its first chunk with bit high[j] - c set for each
+    # bit j set in m, the order of a rank group's members
+    coupled = [0]
+    for b in high:
+        coupled += [m | 1 << (b - c) for m in coupled]
+    for base in range(len(src)):
+        if base & coupled[-1]:
+            continue
+        rows = [src[base | m] for m in coupled]
+        out = rows if in_place else [tgt[base | m] for m in coupled]
         if move is not None:
-            move_rows(src, tgt, *move, work=work)
+            move_rows(rows, out, *move, work=work)
         else:
-            apply_rows(src, tgt, bits, matrix, work)
+            apply_rows(rows, out, bits, matrix, work)

@@ -15,6 +15,7 @@ them as exact data movement instead of 0/1 matrix arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +46,10 @@ class Gate:
     qubits: tuple[int, ...] = ()
     k: int = 0
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        # the engine indexes and hashes qubits, so they are ints from here on
+        object.__setattr__(self, "qubits", tuple(as_index(q, "qubit index") for q in self.qubits))
 
 
 def h(q: int) -> Gate:
@@ -99,8 +104,20 @@ def measure_all() -> Gate:
     return Gate("M")
 
 
+def as_index(value, what: str) -> int:
+    """``value`` as an int, if ``operator.index`` takes it; ``ValueError`` if not.
+
+    Numpy integers and bools pass; floats, strings and the rest do not.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def phase_angle(k: int) -> float:
     """Rotation angle for phase exponent k: sign(k) * 2*pi / 2**|k|."""
+    k = as_index(k, "phase exponent")
     if k == 0:
         raise ValueError("phase exponent must be nonzero")
     # exact like the division by 2**|k|, but huge |k| underflows to 0.0
@@ -175,8 +192,8 @@ def validate_gate(gate: Gate, n_qubits: int) -> None:
         if gate.qubits:
             raise ValueError("measurement takes no qubit arguments")
         return
-    if gate.kind in ("PHASE", "CPHASE") and gate.k == 0:
-        raise ValueError(f"{gate.kind} requires a nonzero phase exponent")
+    if gate.kind in ("PHASE", "CPHASE"):
+        phase_angle(gate.k)  # raises ValueError on a zero or non-integer exponent
     expected = 2 if gate.kind in TWO_QUBIT_KINDS else 1
     if len(gate.qubits) != expected:
         raise ValueError(f"{gate.kind} expects {expected} qubit(s), got {len(gate.qubits)}")

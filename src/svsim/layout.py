@@ -95,12 +95,12 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     end: the queued term for the outbox every exchange carves its payloads
     from, and the 2 copies for the workspace.  A gate computes on its rows
     where they lie, the received payloads and the parts of storage it reads
-    and writes, a piece of at most ``engine.LOCAL_BLOCK`` amplitudes at a
-    time; its kernel gathers the piece's components, with one accumulator
-    and one term buffer, or saves one component and one term buffer, or
-    swaps through two buffers of one component, and never holds more than
-    two pieces.  A diagonal gate scales a view in place, which can take
-    numpy's two buffers.  Measurement holds the most: a slice's squared
+    and writes, one group of chunks at a time (``engine._apply_in_pieces``
+    states the rule); its kernel gathers the group's components, with one
+    accumulator and one term buffer, or saves one component and one term
+    buffer, or swaps through two buffers of one component, and never holds
+    more than twice the group.  A diagonal gate scales a view in place,
+    which can take numpy's two buffers.  Measurement holds the most: a slice's squared
     magnitudes (half a copy), their column and row sums and, in fp32, the
     slice cast to complex128, whose front half-slices later hold a measured
     rank qubit's two rows.  Fp64 rows are read where they lie.  That is at
@@ -158,6 +158,7 @@ def partition(n_qubits: int, ranks: int) -> PartitionLayout:
     The qubits left after the rank bits are each partition's local qubits,
     at least one.
     """
+    n_qubits, ranks = g.as_index(n_qubits, "qubit count"), g.as_index(ranks, "rank count")
     if ranks < 1 or ranks & (ranks - 1):
         raise ValueError("rank count must be a power of two")
     rank_bits = ranks.bit_length() - 1

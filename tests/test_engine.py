@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from svsim import (Circuit, PrecisionMode, build_adder, build_benchmark, gates as g,
                    oracle_run, run_circuit)
+import svsim.engine
 from svsim.cli import main
 from svsim.engine import plan_run
 from svsim.layout import TrafficLedger, memory_bytes, partition, peak_bytes
@@ -149,6 +150,50 @@ def test_invalid_rank_configuration_rejected():
     circuit = Circuit(4, (g.h(0),))
     with pytest.raises(ValueError, match="power of two"):
         run_circuit(circuit, ranks=3)
+
+
+def _integers_circuit(n=3, q=1, k=3, labels=()):
+    """H, PHASE, CPHASE and CNOT on 3 qubits from a qubit count, a qubit, an exponent and labels."""
+    return Circuit(n, (g.h(0), g.h(q), g.phase(q, k), g.cphase(0, 2, k), g.cnot(2, q),
+                       g.measure_all()), labels)
+
+
+@pytest.mark.parametrize("values, accepted", [
+    ({"n": np.int64(3)}, True),
+    ({"q": np.int32(1)}, True),
+    ({"q": np.array(1)}, True),
+    ({"k": np.int64(3)}, True),
+    ({"labels": (np.int64(0), 1, 2)}, True),
+    ({"ranks": np.int64(2)}, True),
+    ({"n": 3.0}, False),
+    ({"q": 1.0}, False),
+    ({"q": "1"}, False),
+    ({"q": [1]}, False),
+    ({"k": np.float64(3)}, False),
+    ({"labels": (0.0, 1, 2)}, False),
+    ({"ranks": 2.0}, False),
+], ids=["numpy-count", "numpy-qubit", "0d-array-qubit", "numpy-exponent", "numpy-label",
+        "numpy-ranks", "float-count", "float-qubit", "str-qubit", "list-qubit",
+        "float-exponent", "float-label", "float-ranks"])
+def test_integers_enter_the_api_as_operator_index_takes_them(monkeypatch, values, accepted):
+    values = dict(values)
+    ranks = values.pop("ranks", 2)
+    expected = run_circuit(_integers_circuit(), ranks=2)
+    _, dense = oracle_run(_integers_circuit())
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the run was planned")
+
+    if not accepted:
+        monkeypatch.setattr(svsim.engine, "plan_run", no_plan)
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_circuit(_integers_circuit(**values), ranks=ranks)
+        return
+    result = run_circuit(_integers_circuit(**values), ranks=ranks)
+    assert [s.data.tobytes() for s in result.states] == [
+        s.data.tobytes() for s in expected.states]
+    assert result.report_in_program_labels() == expected.report_in_program_labels()
+    assert oracle_run(_integers_circuit(**values))[1] == dense
 
 
 def test_scheduling_invariance_of_states_and_ledgers(rng):

@@ -1,4 +1,5 @@
 """Gates on rows in pieces: the same bits as stacking, and no slice-sized copy."""
+import functools
 import tracemalloc
 
 import numpy as np
@@ -101,11 +102,20 @@ def test_the_gate_path_holds_nothing_of_a_slice_size(monkeypatch, mode):
         monkeypatch.setattr(svsim.engine, name,
                             lambda psi, *a, _k=kernel, **kw: (covered.append(psi.size),
                                                               _k(psi, *a, **kw)))
+    # rows of a call that are not one C-contiguous run, or differ in length
+    ragged = []
+
+    def rows_call(rows, targets, *a, _k, **kw):
+        covered.append(sum(r.size for r in rows))
+        every = list(rows) + list(targets)
+        if (any(r.ndim != 1 or not r.flags.c_contiguous for r in every)
+                or len({r.size for r in every}) != 1):
+            ragged.append([r.shape for r in every])
+        _k(rows, targets, *a, **kw)
+
     for name in ("apply_rows", "move_rows"):
-        kernel = getattr(svsim.engine, name)
         monkeypatch.setattr(svsim.engine, name,
-                            lambda rows, *a, _k=kernel, **kw: (
-                                covered.append(sum(r.size for r in rows)), _k(rows, *a, **kw)))
+                            functools.partial(rows_call, _k=getattr(svsim.engine, name)))
     peaks = []
     execute = _Engine._execute
 
@@ -132,3 +142,4 @@ def test_the_gate_path_holds_nothing_of_a_slice_size(monkeypatch, mode):
     assert [(kind, exchange) for kind, exchange, peak in peaks
             if peak >= slice_bytes // 16] == []
     assert 0 < max(covered) <= svsim.engine.LOCAL_BLOCK
+    assert ragged == []
