@@ -50,6 +50,8 @@ class Gate:
     def __post_init__(self):
         # the engine indexes and hashes qubits, so they are ints from here on
         object.__setattr__(self, "qubits", tuple(as_index(q, "qubit index") for q in self.qubits))
+        if self.matrix is not None:
+            object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.complex128))
 
 
 def h(q: int) -> Gate:
@@ -81,11 +83,11 @@ def cnot(control: int, target: int) -> Gate:
 
 
 def u2(q: int, matrix: np.ndarray) -> Gate:
-    return Gate("U2", (q,), matrix=np.asarray(matrix, dtype=np.complex128))
+    return Gate("U2", (q,), matrix=matrix)
 
 
 def u4(q1: int, q2: int, matrix: np.ndarray) -> Gate:
-    return Gate("U4", (q1, q2), matrix=np.asarray(matrix, dtype=np.complex128))
+    return Gate("U4", (q1, q2), matrix=matrix)
 
 
 class Permutation(NamedTuple):
@@ -192,6 +194,8 @@ def validate_gate(gate: Gate, n_qubits: int) -> None:
         if gate.qubits:
             raise ValueError("measurement takes no qubit arguments")
         return
+    if gate.kind not in SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
     if gate.kind in ("PHASE", "CPHASE"):
         phase_angle(gate.k)  # raises ValueError on a zero or non-integer exponent
     expected = 2 if gate.kind in TWO_QUBIT_KINDS else 1

@@ -61,6 +61,16 @@ def memory_bytes(n_qubits: int, mode: PrecisionMode) -> int:
 # 1.1-1.4 KB of its LocalState, storage array headers, ledger and views;
 # 4.6 KB in all in fp64 and 5.5 KB in byte mode.
 RANK_OVERHEAD_BYTES = 6 << 10
+# What a run holds per gate besides its arrays, until it ends: the gate's
+# exchange plan, about 130 B, and the view shapes ``bit_view`` and
+# ``row_components`` cache for it.  Traced with tracemalloc, caches cleared,
+# at 16 qubits on 1 rank in fp32, with the peak at a last diagonal gate that
+# takes numpy's buffers: each U4 on a pair of qubits no earlier gate used
+# held 2.4-2.6 KB (2.0 KB of four ``bit_view`` shapes, 0.6 KB of its row
+# components), and random circuits of all nine kinds held 0.4-0.9 KB per
+# gate, 215 KB over 400 gates.  So no constant per run bounds it.  Each
+# cache keeps at most 1024 entries.
+GATE_OVERHEAD_BYTES = 3 << 10
 # A byte-mode write held until the barrier, per amplitude, when no code tuple
 # repeats: 16 B of ``(r, theta)`` and up to 2 B of tuple index.
 HELD_WRITE_BYTES = 18
@@ -70,7 +80,7 @@ TUPLE_TABLE_BYTES = 2 << 16
 
 
 def ufunc_buffer_bytes() -> int:
-    """What numpy allocates while a diagonal gate in an fp mode scales its storage.
+    """What numpy allocates while an fp gate scales or turns its storage in place.
 
     An in-place multiply takes one buffer for its operand and one for its
     result, of ``np.getbufsize()`` complex128 elements each, whenever it
@@ -78,36 +88,30 @@ def ufunc_buffer_bytes() -> int:
     always takes, or when the view's contiguous runs are shorter than a
     buffer.  On 2**16 amplitudes, traced ``apply_diagonal`` calls took
     263.5 KB in fp32 on every bit, and in fp64 263.6 KB on bits 1-11 and on
-    (0, 5) but under 2 KB on bits 0 and 12-15, at the default 8192.
+    (0, 5) but under 2 KB on bits 0 and 12-15, at the default 8192.  Y's
+    turn by +-i (``kernels._put``) copies between strided ``.real`` and
+    ``.imag`` views, whose buffers fit in the same term: traced
+    ``apply_permutation`` calls on 2**16 amplitudes, the workspace passed,
+    took 67 KB in fp64 and 34 KB in fp32 for Y on bits 3 and 9, about 1.5 KB
+    on bits 0, 14 and 15, and about 1.3 KB for X on every bit.
     """
     return 2 * np.getbufsize() * 16
 
 
-def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
+def peak_bytes(layout: PartitionLayout, mode: PrecisionMode, work: int, queued: int,
+               gates: int) -> int:
     """Most memory a run on ``layout`` is built to hold at once, in bytes.
 
-    Storage, the payloads an exchange queues before its first member computes
-    (1 - 2**-k of the state, k <= 2), ``RANK_OVERHEAD_BYTES`` per rank, and
-    complex128 copies of one rank's slice: 2 in the fp modes, or 8 for byte
-    mode's codec.  The fp modes add numpy's buffers (``ufunc_buffer_bytes``).
+    Storage, ``queued`` elements at the storage mode's bytes per element,
+    ``work`` complex128 elements, ``RANK_OVERHEAD_BYTES`` per rank,
+    ``GATE_OVERHEAD_BYTES`` for each of the run's ``gates``, and the mode's
+    transients.  ``engine.plan_run`` sizes the queued payloads and the
+    workspace from the run's own gates; ``kernels.work_elements`` and
+    ``measure.work_elements`` state the working sets.  The fp modes add
+    numpy's buffers (``ufunc_buffer_bytes``).
 
-    In the fp modes that budget pays for memory a run holds from start to
-    end: the queued term for the outbox every exchange carves its payloads
-    from, and the 2 copies for the workspace.  A gate computes on its rows
-    where they lie, the received payloads and the parts of storage it reads
-    and writes, one group of chunks at a time (``engine._apply_in_pieces``
-    states the rule); its kernel gathers the group's components, with one
-    accumulator and one term buffer, or saves one component and one term
-    buffer, or swaps through two buffers of one component, and never holds
-    more than twice the group.  A diagonal gate scales a view in place,
-    which can take numpy's two buffers.  Measurement holds the most: a slice's squared
-    magnitudes (half a copy), their column and row sums and, in fp32, the
-    slice cast to complex128, whose front half-slices later hold a measured
-    rank qubit's two rows.  Fp64 rows are read where they lie.  That is at
-    most 2 copies, and the workspace is sized to the largest of those
-    working sets.
-
-    Byte mode adds the writes every rank holds until the codebook barrier,
+    Byte mode adds 8 complex128 copies of one rank's slice for its codec, and
+    the writes every rank holds until the codebook barrier,
     ``HELD_WRITE_BYTES`` per amplitude of the state at worst: each code
     tuple's index among the distinct tuples, and 16 B of ``(r, theta)`` per
     distinct result.  Tuples repeat in the byte-mode adder, about 1 B per
@@ -117,13 +121,11 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode) -> int:
     reads with up to 3.2 more, 2.6 in ``encode`` and 1.5 in ``decode``; a
     byte-mode gate runs them on its distinct tuples only.
     """
-    storage = memory_bytes(layout.total_qubits, mode)
-    queued = exchanged_elements(storage, min(2, layout.total_qubits - layout.local_qubits))
-    byte = mode is PrecisionMode.BYTE
-    peak = (storage + queued + (8 if byte else 2) * layout.local_size * 16
-            + layout.rank_count * RANK_OVERHEAD_BYTES)
-    if byte:
-        return peak + (HELD_WRITE_BYTES << layout.total_qubits) + TUPLE_TABLE_BYTES
+    peak = (memory_bytes(layout.total_qubits, mode) + queued * mode.bytes_per_element
+            + work * 16 + layout.rank_count * RANK_OVERHEAD_BYTES + gates * GATE_OVERHEAD_BYTES)
+    if mode is PrecisionMode.BYTE:
+        return (peak + 8 * layout.local_size * 16 + (HELD_WRITE_BYTES << layout.total_qubits)
+                + TUPLE_TABLE_BYTES)
     return peak + ufunc_buffer_bytes()
 
 

@@ -52,6 +52,8 @@ class TierConfig:
     lookahead_window: int = 64
 
     def __post_init__(self):
+        for field in ("fast_capacity_bytes", "chunk_bytes", "lookahead_window"):
+            object.__setattr__(self, field, g.as_index(getattr(self, field), field))
         if self.chunk_bytes < 1 or self.chunk_bytes & (self.chunk_bytes - 1):
             raise ValueError("chunk size must be a power of two")
         if self.fast_capacity_bytes < 2 * self.chunk_bytes:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svsim import (Circuit, PrecisionMode, build_adder, build_benchmark, gates as g,
-                   oracle_run, run_circuit)
+from svsim import (Circuit, PrecisionMode, build_adder, build_benchmark, build_report,
+                   gates as g, oracle_run, run_circuit)
 import svsim.engine
+import svsim.kernels
 from svsim.cli import main
 from svsim.engine import plan_run
-from svsim.layout import TrafficLedger, memory_bytes, partition, peak_bytes
+from svsim.layout import TrafficLedger, memory_bytes, partition
 from svsim.state import LocalState
 from svsim.tier import TierConfig
 from svsim.transport import Transport, TransportError
@@ -196,6 +198,47 @@ def test_integers_enter_the_api_as_operator_index_takes_them(monkeypatch, values
     assert oracle_run(_integers_circuit(**values))[1] == dense
 
 
+def _api_circuit(*gates):
+    return Circuit(3, (g.h(0), g.h(2), *gates, g.cnot(0, 2), g.measure_all()))
+
+
+@pytest.mark.parametrize("given, expected", [
+    (lambda: (_api_circuit(), {"tier_config": TierConfig(np.int64(32), np.int64(16))}),
+     lambda: (_api_circuit(), {"tier_config": TierConfig(32, 16)})),
+    (lambda: (_api_circuit(), {"mode": "fp32"}),
+     lambda: (_api_circuit(), {"mode": PrecisionMode.FP32})),
+    (lambda: (_api_circuit(g.Gate("U2", (1,), matrix=[[0, 1], [1, 0]])), {}),
+     lambda: (_api_circuit(g.u2(1, g.X_MATRIX)), {})),
+    (lambda: (_api_circuit(), {"tier_config": TierConfig(64.0, 16)}),
+     "fast_capacity_bytes must be an integer"),
+    (lambda: (_api_circuit(), {"tier_config": TierConfig(256.0, 16.0)}), "must be an integer"),
+    (lambda: (_api_circuit(), {"tier_config": TierConfig(256, 16, 2.5)}),
+     "lookahead_window must be an integer"),
+    (lambda: (_api_circuit(), {"mode": "fp16"}), "not a valid PrecisionMode"),
+    (lambda: (_api_circuit(g.Gate("FOO", (1,))), {}), "unknown gate kind 'FOO'"),
+], ids=["numpy-tier", "mode-string", "list-matrix", "float-tier-capacity", "float-tier",
+        "float-lookahead", "unknown-mode", "unknown-kind"])
+def test_api_input_is_taken_or_refused_before_the_run_is_planned(monkeypatch, given, expected):
+    if callable(expected):
+        result, reference = (run_circuit(c, ranks=2, **kwargs) for c, kwargs in (given(), expected()))
+        assert [s.data.tobytes() for s in result.states] == [
+            s.data.tobytes() for s in reference.states]
+        assert [l.snapshot() for l in result.ledgers] == [l.snapshot() for l in reference.ledgers]
+        # JSON tells an integer from a float that equals it
+        ours, theirs = (dataclasses.replace(build_report(r), wall_time_seconds=0.0).to_json()
+                        for r in (result, reference))
+        assert ours == theirs
+        return
+
+    def no_plan(*args, **kwargs):
+        raise AssertionError("the run was planned")
+
+    monkeypatch.setattr(svsim.engine, "plan_run", no_plan)
+    with pytest.raises(ValueError, match=expected):
+        circuit, kwargs = given()
+        run_circuit(circuit, ranks=2, **kwargs)
+
+
 def test_scheduling_invariance_of_states_and_ledgers(rng):
     circuit = random_circuit(rng, 8, 18)
     a = run_circuit(circuit, ranks=8, rank_order_seed=7)
@@ -322,13 +365,33 @@ def test_memory_check_counts_the_run_peak_not_only_storage(monkeypatch, capsys):
     monkeypatch.setattr(os, "sysconf", machine.__getitem__)
     monkeypatch.setattr(LocalState, "zero_state", classmethod(no_state))
     mode = PrecisionMode.BYTE
-    assert memory_bytes(12, mode) < 16384 < peak_bytes(partition(12, 1), mode)
+    peak = plan_run(build_benchmark(12), partition(12, 1), mode).peak_bytes
+    assert memory_bytes(12, mode) < 16384 < peak
     with pytest.raises(ValueError, match="the machine has 16384 B"):
         run_circuit(build_benchmark(12), mode=mode)
     with pytest.raises(SystemExit) as exit_info:
         main(["--builder", "benchmark:12", "--mode", "be"])
     assert exit_info.value.code == 2
     assert "the machine has 16384 B" in capsys.readouterr().err
+
+
+def test_fp64_benchmark_28_on_one_rank_fits_a_7_gib_machine(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
+    # 4 GiB of amplitudes and measurement's 2 GiB workspace, planned before
+    # any amplitude is allocated
+    circuit = build_benchmark(28)
+    plan = plan_run(circuit, partition(28, 1), PrecisionMode.FP64)
+    assert 6 << 30 < plan.peak_bytes < (6 << 30) + (1 << 20)
+    machine = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7 << 18}
+    monkeypatch.setattr(os, "sysconf", machine.__getitem__)
+    monkeypatch.setattr(LocalState, "zero_state", classmethod(admitted))
+    with pytest.raises(Admitted):
+        run_circuit(circuit)
 
 
 def haar_gates_circuit(rng, n):
@@ -338,21 +401,39 @@ def haar_gates_circuit(rng, n):
     return Circuit(n, tuple(gates) + (g.measure_all(),))
 
 
+def fresh_pairs_circuit(rng, n):
+    """40 Haar U4 gates on pairs no earlier gate used, then a buffered CPHASE.
+
+    Each U4 leaves the most cached view shapes a gate can, and the CPHASE
+    takes numpy's buffers on top of them: the run's per-gate term is pinned.
+    """
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    picks = rng.choice(len(pairs), 40, replace=False)
+    gates = [g.u4(*pairs[i], haar_unitary(rng, 4)) for i in picks]
+    return Circuit(n, tuple(gates) + (g.cphase(1, 5, 3),))
+
+
 @pytest.mark.parametrize("mode", list(PrecisionMode))
 def test_traced_peak_stays_under_the_planned_bound(rng, mode):
-    # at small slices what a rank holds besides its amplitudes dominates
-    for n, ranks in ((16, 4), (14, 64), (12, 256)):
+    # at small slices what a rank holds besides its amplitudes dominates; on
+    # one rank, what a run holds per gate does
+    for n, ranks in ((16, 1), (16, 4), (14, 64), (12, 256)):
         circuits = [random_circuit(rng, n, 12)]
         if mode is PrecisionMode.BYTE and ranks == 64:
             circuits.append(haar_gates_circuit(rng, n))
+        if mode is not PrecisionMode.BYTE and ranks == 1:
+            circuits.append(fresh_pairs_circuit(rng, n))
         for circuit in circuits:
+            # a run's cached view shapes are part of what it holds
+            svsim.kernels._split.cache_clear()
+            svsim.kernels.row_components.cache_clear()
             tracemalloc.start()
             try:
                 run_circuit(circuit, ranks=ranks, mode=mode)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= peak_bytes(partition(n, ranks), mode), (n, ranks)
+            assert peak <= plan_run(circuit, partition(n, ranks), mode).peak_bytes, (n, ranks)
 
 
 def test_a_drained_mailbox_is_forgotten(rng):
