@@ -24,7 +24,17 @@ kernel call computes on one coupled group of chunks, at most
 ``LOCAL_BLOCK`` amplitudes in all (``_apply_in_pieces`` states the rule), so
 nothing is stacked or stored back.  A diagonal gate takes the rank's slice
 whole: one ``apply_diagonal`` call scales its view in place, so blocking
-would only add calls.
+would only add calls.  A run of consecutive diagonal gates that
+``fused_runs`` picks from the gates alone is instead one ``apply_phases``
+pass per rank where the qubits all its gates share read one.  Every Z,
+PHASE and CPHASE is an exact part of a turn (``gates.phase_turn``), so each
+amplitude's phase over the run is an exact integer mod 2**K, K the run's
+largest exponent: its gates' terms summed, with rank bits folded in as each
+rank's constants.  Each amplitude is then multiplied once, by the root of
+unity at that index, chunk by chunk in the workspace.  This is the one place
+where fp arithmetic is not gate by gate: a fused amplitude is rounded once,
+not once per gate.  Byte mode applies every gate on its own, each with its
+codebook barrier.
 
 X, Y and CNOT only move amplitudes (``gates.permutation``).  They run as
 crosswise copies from their source rows into their target rows in the
@@ -75,6 +85,7 @@ Byte mode takes neither (``RunPlan`` says why).
 """
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import time
@@ -86,9 +97,9 @@ from . import gates as g
 from .circuit import Circuit, validate_circuit
 from .codec import Codebook, Proposal, canonicalize
 from .exchange import group_exchange, row_qubits
-from .kernels import (apply_diagonal, apply_pair_arrays, apply_permutation,
-                      apply_quad_arrays, apply_rows, apply_single, apply_two, bit_view,
-                      move_rows, row_components, work_elements)
+from .kernels import (INDEX_BITS, apply_diagonal, apply_pair_arrays, apply_permutation,
+                      apply_phases, apply_quad_arrays, apply_rows, apply_single, apply_two,
+                      bit_view, move_rows, phase_work_elements, row_components, work_elements)
 from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, exchanged_elements,
                      partition, peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all, work_elements as measure_work_elements
@@ -97,7 +108,8 @@ from .tier import TierAccount, TierConfig, plan_passes
 from .transport import Transport, TransportError
 
 # Amplitudes per matrix or permutation kernel call, counted over all the rows
-# it computes on; diagonal gates are not blocked.  Medians of run_circuit in
+# it computes on, and touched amplitudes per chunk of a fused phase pass; a
+# single diagonal gate is not blocked.  Medians of run_circuit in
 # seconds, block sizes interleaved in shuffled order (2 CPUs with 4 MiB of L2
 # each, Python 3.11, numpy 2.4; the bench workloads, whose slices hold 2**16
 # and 2**20 amplitudes):
@@ -125,11 +137,15 @@ class RunPlan:
     for the gates' exchanges, measurement excluded, and ``ledger`` what
     every rank's ledger reads when the run ends.
 
+    ``fused`` are the gate ranges that run as one phase pass each
+    (``fused_runs``), none in byte mode.
+
     Memory is stated here once.  ``queued_elements`` is what the largest
     exchange or measurement round queues over all ranks before its first
     member computes.  ``work_elements`` is the complex128 workspace for the
-    largest working set of any gate or measurement in the fp modes
-    (``kernels.work_elements`` on one coupled group of chunks,
+    largest working set of any gate, fused run or measurement in the fp
+    modes (``kernels.work_elements`` on one coupled group of chunks,
+    ``kernels.phase_work_elements`` on a chunk's index and root tables,
     ``measure.work_elements``), and 0 in byte mode.  ``peak_bytes`` is
     storage, those two, and the overheads and transients that
     ``layout.peak_bytes`` names.  The fp modes hold the workspace, and an
@@ -144,6 +160,7 @@ class RunPlan:
     """
     exchanges: tuple[ExchangePlan, ...]
     rounds: tuple[ExchangePlan, ...]
+    fused: tuple[range, ...]
     tier: TierAccount | None
     exchange_bytes: int
     ledger: TrafficLedger
@@ -157,11 +174,13 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
     """The plan of ``circuit`` on ``layout``; raises ``ValueError`` if infeasible.
 
     A kernel call computes on one coupled group of chunks, at most
-    ``LOCAL_BLOCK`` amplitudes (``_apply_in_pieces``), so the workspace
+    ``LOCAL_BLOCK`` amplitudes (``_apply_in_pieces``), and a phase pass on
+    chunks of at most ``LOCAL_BLOCK`` touched amplitudes, so the workspace
     holds the largest of those working sets and measurement's.
     """
     n_local, size = layout.local_qubits, layout.local_size
     exchanges = tuple(plan_exchange(layout, gate, mode) for gate in circuit.gates)
+    fused = () if mode is PrecisionMode.BYTE else fused_runs(circuit.gates)
     rounds = tuple(ExchangePlan("pairwise", (1 << bit,), exchanged_elements(size, 1),
                                 mode.bytes_per_element)
                    for gate in circuit.gates if gate.kind == "M"
@@ -188,8 +207,11 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
                 block = min(max(LOCAL_BLOCK, 1 << len(gate.qubits)), size)
                 work = max(work, work_elements(block, gate.qubits, mode.dtype,
                                                g.permutation(gate) is not None))
-    return RunPlan(exchanges, rounds, tier, gate_bytes * layout.rank_count, ledger, work, queued,
-                   peak_bytes(layout, mode, work, queued, len(circuit.gates)))
+        for run in fused:
+            top = max(g.phase_turn(gate)[1] for gate in circuit.gates[run.start:run.stop])
+            work = max(work, phase_work_elements(min(LOCAL_BLOCK, size), top))
+    return RunPlan(exchanges, rounds, fused, tier, gate_bytes * layout.rank_count, ledger, work,
+                   queued, peak_bytes(layout, mode, work, queued, len(circuit.gates)))
 
 
 @dataclass
@@ -284,8 +306,15 @@ class _Engine:
         self._proposals, self._pending = {}, []
 
     def run(self) -> None:
-        for ordinal, (gate, plan) in enumerate(zip(self.circuit.gates, self.plan.exchanges)):
-            self._execute(gate, plan, ordinal)
+        gates, ordinal = self.circuit.gates, 0
+        stops = {run.start: run.stop for run in self.plan.fused}
+        while ordinal < len(gates):
+            if ordinal in stops:
+                self._apply_phases(gates[ordinal:stops[ordinal]])
+                ordinal = stops[ordinal]
+            else:
+                self._execute(gates[ordinal], self.plan.exchanges[ordinal], ordinal)
+                ordinal += 1
         self.transport.assert_drained()
         for rank, ledger in enumerate(self.ledgers):
             for field, planned in self.plan.ledger.snapshot().items():
@@ -317,7 +346,7 @@ class _Engine:
     def _apply_diagonal(self, gate: g.Gate) -> None:
         """In place on storage, where all the gate's qubits read one."""
         n_local = self.layout.local_qubits
-        rank_bits = sum(1 << (q - n_local) for q in gate.qubits if q >= n_local)
+        rank_bits = _rank_bits(gate.qubits, n_local)
         qubits = tuple(q for q in gate.qubits if q < n_local)
         # byte mode reads only that region, as the gate's one component
         where = (qubits, (1,) * len(qubits))
@@ -331,6 +360,33 @@ class _Engine:
                 self._apply_codes(rank, gate, [(self.states[rank].data, *where)],
                                   [(rank, *where)], (), n_local)
         self._commit()
+
+    def _apply_phases(self, gates: tuple[g.Gate, ...]) -> None:
+        """A fused run: one phase pass on each rank where its shared qubits read one.
+
+        Each gate adds its part of a turn to the phase index where its other
+        qubits read one: a rank bit it reads as zero drops it on that rank,
+        and one it reads as one leaves only its local qubits.
+        """
+        n_local = self.layout.local_qubits
+        shared = _shared(gates)
+        ones = tuple(sorted(q for q in shared if q < n_local))
+        top = max(g.phase_turn(gate)[1] for gate in gates)
+        terms = []
+        for gate in gates:
+            turn, bits = g.phase_turn(gate)
+            free = [q for q in gate.qubits if q not in shared]
+            terms.append((_rank_bits(free, n_local), tuple(q for q in free if q < n_local),
+                          (turn << (top - bits)) % (1 << top)))
+        need = _rank_bits(shared, n_local)
+        for rank in self.rank_order:
+            if rank & need == need:
+                apply_phases(self.states[rank].data, ones,
+                             [(bits, weight) for rank_bits, bits, weight in terms
+                              if rank & rank_bits == rank_bits],
+                             top, LOCAL_BLOCK, self.work)
+        for ledger in self.ledgers:
+            ledger.gate_operations += len(gates)
 
     def _apply_rows(self, gate: g.Gate, plan: ExchangePlan) -> None:
         """A matrix or permutation gate on its group's rows; a local gate's group is one rank."""
@@ -396,6 +452,53 @@ class _Engine:
             for (owner, where), part in zip(wheres, encoded):
                 self.states[owner].store(part[inverse], where)
         self._proposals, self._pending = {}, []
+
+
+# The fusion rule against gate-by-gate scaling, timed at 2**20 amplitudes in
+# fp64 on the diagonal runs of ``adder-fp64-r1-tier`` (min of 5, 2 CPUs with
+# 4 MiB of L2 each, Python 3.11, numpy 2.4), in ms:
+#
+#   run                                  gate by gate   one pass
+#   accumulate: 55 CPHASE, none shared           36.2        5.4   fused
+#   Fourier ladders of 3-9 CPHASE             1.1-2.4    0.6-1.6   fused
+#   ladders of 2 CPHASE                           1.0    0.6-0.8   not fused
+#   single CPHASE                                 0.5        0.7   not fused
+#
+# A ladder of 2 scales exactly its shared region, so the rule leaves it,
+# though one pass wins it by 0.2-0.4 ms: under 1 ms of a 130 ms run for the
+# circuit's two such ladders.  Taking it would need a second condition to
+# leave single gates alone.
+def fused_runs(gates) -> tuple[range, ...]:
+    """The runs of diagonal gates that one phase pass applies in the fp modes.
+
+    A run is a maximal stretch of consecutive Z, PHASE and CPHASE gates; a
+    gate whose exponent exceeds ``kernels.INDEX_BITS`` ends it and runs
+    alone.  A run is fused when its gates, one by one, would scale more of
+    the state than one pass over where the qubits they all share read one:
+    when the sum of 2**-len(qubits) over its gates exceeds 2**-len(shared).
+    The rule reads only the gates, so a circuit fuses the same runs at every
+    layout.
+    """
+    runs, start = [], 0
+    for fusable, group in itertools.groupby(
+            gates, lambda gate: g.is_diagonal(gate) and g.phase_turn(gate)[1] <= INDEX_BITS):
+        stop = start + len(list(group))
+        run = gates[start:stop]
+        if fusable and (sum(2.0 ** -len(gate.qubits) for gate in run)
+                        > 2.0 ** -len(_shared(run))):
+            runs.append(range(start, stop))
+        start = stop
+    return tuple(runs)
+
+
+def _shared(gates) -> set[int]:
+    """The qubits every one of ``gates`` acts on."""
+    return set.intersection(*(set(gate.qubits) for gate in gates))
+
+
+def _rank_bits(qubits, n_local: int) -> int:
+    """The rank-number bits of those of ``qubits`` that lie in the rank bits."""
+    return sum(1 << (q - n_local) for q in qubits if q >= n_local)
 
 
 def _distinct_tuples(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -140,6 +140,19 @@ def diagonal_factor(gate: Gate) -> complex:
     raise ValueError(f"not a diagonal gate: {gate.kind}")
 
 
+def phase_turn(gate: Gate) -> tuple[int, int]:
+    """A diagonal gate's factor as an exact part of a turn, ``(m, K)``: m / 2**K.
+
+    Z is half a turn, ``(1, 1)``; PHASE and CPHASE of exponent k are
+    ``(sign(k), |k|)``.  ``diagonal_factor`` is exp(2*pi*i * m / 2**K), rounded.
+    """
+    if gate.kind == "Z":
+        return 1, 1
+    if gate.kind in ("PHASE", "CPHASE"):
+        return (1 if gate.k > 0 else -1), abs(gate.k)
+    raise ValueError(f"not a diagonal gate: {gate.kind}")
+
+
 def permutation(gate: Gate, bits=None) -> Permutation | None:
     """X, Y or CNOT as a ``Permutation``; None for every other kind.
 

@@ -12,7 +12,10 @@ Every amplitude subset is named by the index bits it fixes, through the one
 view helper ``bit_view``: a gate on qubit q pairs the views where bit q
 reads 0 and 1, a two-qubit gate spans four views, and a diagonal gate
 scales the view where its qubits read 1.  Updates are vectorised, so
-results do not depend on any internal visiting order.
+results do not depend on any internal visiting order.  ``apply_phases``
+applies a run of diagonal gates in one pass: each element's phase over the
+run is an exact integer index into a table of roots of unity, computed
+chunk by chunk, so each element is multiplied once.
 
 A gate computes on rows: aligned 1-D arrays taken as one array, row r after
 row r - 1, in which bits at or above a row's width select the row
@@ -41,7 +44,8 @@ Those buffers are the kernels' only transients.  A caller that passes ``work``,
 a 1-D complex128 array of at least ``work_elements`` elements, has them carved
 from its front, so the call allocates nothing: the engine passes the run's one
 workspace.  The permutation kernels carve their buffers in the rows' dtype
-from the same memory.  Without ``work`` each call allocates its own.  The bits
+from the same memory, and ``apply_phases`` its index and root tables
+(``phase_work_elements``).  Without ``work`` each call allocates its own.  The bits
 are the same either way.  The ``*_arrays`` kernels compute the same
 expressions, value by value, into new buffers; byte mode applies them to the
 distinct stored code tuples of a gate's components.
@@ -260,6 +264,199 @@ def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex
     """
     view = bit_view(psi, local_bits)
     view *= np.complex128(factor)
+
+
+# A fused phase pass looks its roots up in one table of 2**K roots, K its
+# largest exponent, up to this width, and above it as the product of a
+# coarse table of 2**ceil(K/2) roots and a fine one of 2**floor(K/2).
+ROOT_BITS = 12
+# The largest exponent a fused run holds.  Its phase index tables add weights
+# below 2**INDEX_BITS in int64, far from overflow, and its root tables take
+# 4 MiB at this width.
+INDEX_BITS = 32
+
+
+def _buffers(work, specs) -> list[np.ndarray]:
+    """Buffers of the given ``(size, dtype)``s: consecutive parts of ``work``, or new.
+
+    Each starts at a complex128 element of ``work``.
+    """
+    out, start = [], 0
+    for size, dtype in specs:
+        if work is None:
+            out.append(np.empty(size, dtype=dtype))
+            continue
+        out.append(work[start:].view(dtype)[:size])
+        start += -(-size * np.dtype(dtype).itemsize // 16)
+    return out
+
+
+def _phase_specs(width: int, span: int, top: int) -> list:
+    """``apply_phases``' buffers for chunks of 2**width runs of 2**span touched elements.
+
+    The coarse and fine roots; per run, the cross table, the phase index
+    and its root; every element's root; each half's bit matrix and own
+    form; with a fine table, a second index and a second root per run.
+    """
+    half = width // 2
+    coarse = top if top <= ROOT_BITS else -(-top // 2)
+    fine = 0 if top <= ROOT_BITS else 1 << (top - coarse)
+    runs = 1 << width
+    # the index sums three tables, each below 2**top: the coarse roots repeat
+    specs = [(3 << coarse, np.complex128), (fine, np.complex128), (runs, np.int64),
+             (runs, np.int64), (runs, np.complex128), (runs << span, np.complex128),
+             ((1 << half) * half, np.int64), ((1 << (width - half)) * (width - half), np.int64),
+             (1 << half, np.int64), (1 << (width - half), np.int64)]
+    return specs + [(runs, np.int64), (runs, np.complex128)] * (fine > 0)
+
+
+def phase_work_elements(count: int, top: int) -> int:
+    """Complex128 elements of ``work`` that ``apply_phases`` takes.
+
+    ``count`` bounds the elements it touches per chunk, ``block`` at most,
+    and ``top`` is its exponent.  Every buffer grows with the runs' and the
+    elements' counts, so one root per element bounds every split.
+    """
+    return sum(-(-size * np.dtype(dtype).itemsize // 16)
+               for size, dtype in _phase_specs(count.bit_length() - 1, 0, top))
+
+
+def _bits(out: np.ndarray) -> np.ndarray:
+    """``out``, 2**b x b, filled with the bits of each row's index, and returned."""
+    np.right_shift(np.arange(out.shape[0])[:, None], np.arange(out.shape[1]), out=out)
+    out &= 1
+    return out
+
+
+def _roots(table: np.ndarray, turn: int) -> None:
+    """``table[m] = exp(2*pi*i * m / turn)``, repeated past ``turn``.
+
+    1, i, -1 and -i are exact where they fall.  The angles are laid out
+    2**ROOT_BITS at a time, so no temporary exceeds that many integers.
+    """
+    first = table[:turn]
+    for start in range(0, first.size, 1 << ROOT_BITS):
+        part = first[start:start + (1 << ROOT_BITS)]
+        np.multiply(np.arange(start, start + part.size), 2j * np.pi / turn, out=part)
+    np.exp(first, out=first)
+    if first.size == turn:
+        first[::max(turn // 4, 1)] = (1, 1j, -1, -1j)[::max(4 // turn, 1)]
+    for start in range(turn, table.size, turn):
+        table[start:start + turn] = first
+
+
+def apply_phases(psi: np.ndarray, ones: tuple[int, ...], terms, top: int, block: int,
+                 work=None) -> None:
+    """Multiply ``psi`` where bits ``ones`` read 1 by a root of unity per element.
+
+    Element i is multiplied by exp(2*pi*i * m / 2**top), where its phase
+    index m is the sum mod 2**top of the weights of the ``terms`` whose bits
+    all read 1 at i.  Each term is ``(bits, weight)``, with at most two
+    bits, none of them in ``ones``, and ``top`` is at most ``INDEX_BITS``.
+    m is an exact integer, so each element is multiplied once, by the root
+    at m, whatever the order, number or grouping of the terms.  Up to
+    ``ROOT_BITS`` the roots are one table, which holds 1, i, -1 and -i
+    exactly; above it each is the product of a coarse root, exact at those
+    four, and a fine one, 1 at 0.
+
+    The pass runs chunk by chunk: 2**c contiguous elements, c the widest at
+    which at most ``block`` of them are touched.  Touched elements that
+    differ only in bits below every term bit share a root, so the index is
+    computed once per such run of them.  Over a chunk's runs, m is a
+    quadratic form in their bits.  Split into a low and a high half, it is a
+    cross table of the pairs that span the halves, the same in every chunk,
+    plus one table per half of its own pairs and singles, into which the
+    bits that choose the chunk enter as constants.  The runs' roots are
+    looked up, spread over their elements, and every touched element is
+    multiplied by its own, in place.  Every table is computed in ``work``
+    when it is given (``phase_work_elements``).
+    """
+    n, mask = psi.size.bit_length() - 1, (1 << top) - 1
+    block = block.bit_length() - 1
+    c = next(c for c in range(n, -1, -1) if c - sum(b < c for b in ones) <= block)
+    fixed = tuple(b for b in ones if b < c)
+    chosen = sum(1 << (b - c) for b in ones if b >= c)
+    width = c - len(fixed)
+    # a term bit as a bit of a touched element's place in its chunk, or of
+    # the chunk number
+    free = sorted({b for bits, _ in terms for b in bits})
+    inner = {b: b - sum(o < b for o in fixed) for b in free if b < c}
+    outer = [b for b in free if b >= c]
+    # runs of 2**span touched elements share a root
+    span = min([width, *inner.values()])
+    width -= span
+    half = width // 2
+    # the form's variables: a run's bits, low half first, then the chunk
+    # number's bits, then a constant 1
+    at = {b: p - span for b, p in inner.items()}
+    at.update((b, width + j) for j, b in enumerate(outer))
+    size = width + len(outer) + 1
+    form = np.zeros((size, size), dtype=np.int64)
+    for bits, weight in terms:
+        where = sorted(at[b] for b in bits) or [size - 1]
+        form[where[-1], where[0]] += weight
+    form &= mask
+    (coarse, fine, cross, index, run_roots, roots, lows, highs, low_table, high_table,
+     *second) = _buffers(work, _phase_specs(width, span, top))
+    shape = (1 << (width - half), 1 << half)
+    cross, index, run_roots = (a.reshape(shape) for a in (cross, index, run_roots))
+    lows = _bits(lows.reshape(1 << half, half))
+    highs = _bits(highs.reshape(1 << (width - half), width - half))
+    # each half's own pairs and singles: its bits times the form times its bits
+    np.sum((lows @ form[:half, :half]) * lows, axis=1, out=low_table)
+    np.sum((highs @ form[half:width, half:width]) * highs, axis=1, out=high_table)
+    np.matmul(highs, form[half:width, :half] @ lows.T, out=cross)
+    cross &= mask
+    # the chunk number's bits and the constant: their own form, and their
+    # coefficients on each run bit
+    chunk_form, chunk_rows = form[width:, width:], form[width:, :width]
+    # bit v of the chunk number is variable v; the constant reads bit 0 of 2j + 1
+    shifts = np.array([b - c + 1 for b in outer] + [0])
+    if not span:
+        roots = run_roots
+    _roots(coarse, coarse.size // 3)
+    if fine.size:
+        _roots(fine, 1 << top)
+        other, more = (a.reshape(shape) for a in second)
+    chunks = psi.reshape(-1, 1 << c)
+    fresh = True
+    for j in range(len(chunks)):
+        if j & chosen != chosen:
+            continue
+        if fresh:
+            y = ((j << 1 | 1) >> shifts) & 1
+            linear = y @ chunk_rows
+            high_index = ((highs @ linear[half:] + high_table) & mask)[:, None]
+            low_index = (lows @ linear[:half] + low_table + y @ chunk_form @ y) & mask
+            np.add(cross, high_index, out=index)
+            index += low_index
+            # each of the three terms is below 2**top, and the coarse roots repeat
+            if fine.size:
+                np.right_shift(index, fine.size.bit_length() - 1, out=other)
+                index &= fine.size - 1
+                np.take(coarse, other, out=run_roots, mode="clip")
+                np.take(fine, index, out=more, mode="clip")
+                _scale(run_roots, more)
+            else:
+                np.take(coarse, index, out=run_roots, mode="clip")
+            if span:
+                np.copyto(roots.reshape(1 << width, 1 << span), run_roots.reshape(-1, 1))
+            # without chunk bits, every chunk takes the same roots
+            fresh = bool(outer)
+        view = bit_view(chunks[j], fixed)
+        _scale(view, roots.reshape(view.shape))
+
+
+def _scale(target: np.ndarray, factor: np.ndarray) -> None:
+    """``target *= factor``, rounded on one element as on many.
+
+    numpy rounds a one-element product written over its own input
+    differently, so one element is multiplied into a new array first.
+    """
+    if target.size == 1:
+        target[...] = target * factor
+    else:
+        np.multiply(target, factor, out=target)
 
 
 def _put(target: np.ndarray, source: np.ndarray, y: bool, sign: int) -> None:

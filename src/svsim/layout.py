@@ -85,11 +85,16 @@ def ufunc_buffer_bytes() -> int:
     An in-place multiply takes one buffer for its operand and one for its
     result, of ``np.getbufsize()`` complex128 elements each, whenever it
     buffers: on a cast, which complex64 storage times a complex128 factor
-    always takes, or when the view's contiguous runs are shorter than a
-    buffer.  On 2**16 amplitudes, traced ``apply_diagonal`` calls took
-    263.5 KB in fp32 on every bit, and in fp64 263.6 KB on bits 1-11 and on
-    (0, 5) but under 2 KB on bits 0 and 12-15, at the default 8192.  Y's
-    turn by +-i (``kernels._put``) copies between strided ``.real`` and
+    or root always takes, or when the view's contiguous runs are shorter
+    than a buffer.  A fused run's phase pass (``kernels.apply_phases``)
+    multiplies each chunk by an array of roots in its workspace, so it takes
+    the same two buffers and no third for the roots: traced on 2**16
+    amplitudes with the workspace passed, a pass held 270-273 KB in fp32 and
+    in fp64 under a shared qubit, which leaves strided views, and 76-105 KB
+    in fp64 otherwise.  On 2**16 amplitudes, traced ``apply_diagonal`` calls
+    took 263.5 KB in fp32 on every bit, and in fp64 263.6 KB on bits 1-11
+    and on (0, 5) but under 2 KB on bits 0 and 12-15, at the default 8192.
+    Y's turn by +-i (``kernels._put``) copies between strided ``.real`` and
     ``.imag`` views, whose buffers fit in the same term: traced
     ``apply_permutation`` calls on 2**16 amplitudes, the workspace passed,
     took 67 KB in fp64 and 34 KB in fp32 for Y on bits 3 and 9, about 1.5 KB

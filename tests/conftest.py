@@ -50,6 +50,26 @@ def random_circuit(rng: np.random.Generator, n_qubits: int, depth: int,
     return Circuit(n_qubits, tuple(gate_list))
 
 
+def diagonal_run(rng: np.random.Generator, n_qubits: int, length: int) -> list:
+    """``length`` Z, PHASE and CPHASE gates on three qubits, which repeat.
+
+    Exponents take both signs, up to 9.  In half the runs every gate acts on
+    the first of the three, which they then share.
+    """
+    pool = [int(q) for q in rng.choice(n_qubits, 3, replace=False)]
+    shared = bool(rng.integers(2))
+    gate_list = []
+    for _ in range(length):
+        a, b = pool[0], int(rng.choice(pool[1:]))
+        if not shared and rng.integers(2):
+            a, b = b, a
+        k = int(rng.integers(1, 10)) * (1 if rng.integers(2) else -1)
+        kind = rng.integers(3)
+        gate_list.append(g.z(a) if kind == 0 else g.phase(a, k) if kind == 1
+                         else g.cphase(a, b, k))
+    return gate_list
+
+
 def exact_class_circuit(rng: np.random.Generator, n_qubits: int, depth: int,
                         measured: bool = True) -> Circuit:
     """Random circuit from the byte-exact family: H, X, CNOT, Z, pi phases."""

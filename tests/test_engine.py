@@ -17,7 +17,7 @@ from svsim.state import LocalState
 from svsim.tier import TierConfig
 from svsim.transport import Transport, TransportError
 
-from conftest import RecordingTransport, haar_unitary, random_circuit
+from conftest import RecordingTransport, diagonal_run, haar_unitary, random_circuit
 
 
 def test_four_rank_h3_matches_single_rank():
@@ -423,6 +423,11 @@ def test_traced_peak_stays_under_the_planned_bound(rng, mode):
             circuits.append(haar_gates_circuit(rng, n))
         if mode is not PrecisionMode.BYTE and ranks == 1:
             circuits.append(fresh_pairs_circuit(rng, n))
+        if mode is not PrecisionMode.BYTE and n == 16:
+            # an adder whose diagonal runs fuse, through the plan's workspace
+            adder = build_adder(8, [200, 111])[0]
+            assert plan_run(adder, partition(n, ranks), mode).fused
+            circuits.append(adder)
         for circuit in circuits:
             # a run's cached view shapes are part of what it holds
             svsim.kernels._split.cache_clear()
@@ -541,10 +546,16 @@ def test_stored_state_is_bit_identical_across_ranks_order_and_tiering(seed, mode
 
     Every mode's stored array and byte mode's codebook, compared bytewise on
     1, 2, 4 and 8 ranks, in natural and seeded order, untiered and tiered.
+    The circuit also holds runs of diagonal gates on local and rank qubits,
+    which the fp modes fuse; there the state and report match the oracle.
     """
     rng = np.random.default_rng(seed)
     n = 8
-    circuit = random_circuit(rng, n, 24)
+    gates = list(random_circuit(rng, n, 24, measured=False).gates)
+    for _ in range(2):
+        at = int(rng.integers(len(gates) + 1))
+        gates[at:at] = diagonal_run(rng, n, int(rng.integers(3, 8)))
+    circuit = Circuit(n, tuple(gates) + (g.measure_all(),))
     outcomes = {}
     for ranks in (1, 2, 4, 8):
         local_bytes = (1 << (n - ranks.bit_length() + 1)) * mode.bytes_per_element
@@ -556,8 +567,15 @@ def test_stored_state_is_bit_identical_across_ranks_order_and_tiering(seed, mode
                 outcomes[ranks, tier is not None, order] = (
                     b"".join(state.data.tobytes() for state in result.states),
                     None if book is None else (book.dump(), book.units.tobytes()))
+                if (ranks, tier, order) == (1, None, None):
+                    first = result
     reference = outcomes[1, False, None]
     assert [key for key, outcome in outcomes.items() if outcome != reference] == []
+    if mode is not PrecisionMode.BYTE:
+        dense, expected = oracle_run(circuit)
+        tolerance = 1e-5 if mode is PrecisionMode.FP32 else 1e-12
+        assert np.max(np.abs(first.gathered_state() - dense.psi)) < tolerance
+        assert first.report.max_difference(expected) < tolerance
 
 
 @pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
