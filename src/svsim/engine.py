@@ -42,7 +42,9 @@ array's own dtype, with no 0/1 arithmetic, through two buffers only where
 both sides of the swap are updated in place; in byte mode they move the
 stored codes themselves.  Their values equal the matrix path's as numbers;
 only the sign of a zero component can differ.  Traffic does not change: an
-exchanged permutation moves what any exchanged gate moves.
+exchanged permutation moves what any exchanged gate moves.  The X gates on
+local qubits that lead a circuit move nothing at all: the run starts from
+the basis state they name (``RunPlan`` states the fold).
 
 Fp modes store results at once.  In byte-encoded mode every gate that computes
 new values ends with a codebook barrier: ranks propose the values they
@@ -81,7 +83,8 @@ In the fp modes the plan's workspace and outbox are created with the states
 and dropped with them, so no gate, exchange or measurement allocates
 anything of a slice's size.  Every kernel call and measurement computes in
 the workspace, and every exchange carves its payloads from the outbox again.
-Byte mode takes neither (``RunPlan`` says why).
+The workspace starts on a cache line (``_aligned``).  Byte mode takes
+neither (``RunPlan`` says why).
 """
 from __future__ import annotations
 
@@ -100,8 +103,8 @@ from .exchange import group_exchange, row_qubits
 from .kernels import (INDEX_BITS, apply_diagonal, apply_pair_arrays, apply_permutation,
                       apply_phases, apply_quad_arrays, apply_rows, apply_single, apply_two,
                       bit_view, move_rows, phase_work_elements, row_components, work_elements)
-from .layout import (ExchangePlan, PartitionLayout, TrafficLedger, exchanged_elements,
-                     partition, peak_bytes, plan_exchange)
+from .layout import (CACHE_LINE, ExchangePlan, PartitionLayout, TrafficLedger,
+                     exchanged_elements, partition, peak_bytes, plan_exchange)
 from .measure import ExpectationReport, measure_all, work_elements as measure_work_elements
 from .state import LocalState, PrecisionMode
 from .tier import TierAccount, TierConfig, plan_passes
@@ -138,7 +141,13 @@ class RunPlan:
     every rank's ledger reads when the run ends.
 
     ``fused`` are the gate ranges that run as one phase pass each
-    (``fused_runs``), none in byte mode.
+    (``fused_runs``), none in byte mode.  ``folded`` are the ordinals of the X
+    gates on local qubits that come before any other gate (``folded_x``).
+    They move no data: rank 0 starts with its unit amplitude at the local
+    index they name, which is where they would move it, in every mode.  Each
+    still counts one gate operation, and the rank-bit X gates among them
+    exchange as any X does.  The exchange plans and the tier account read
+    every gate, so the ledger does not depend on the fold.
 
     Memory is stated here once.  ``queued_elements`` is what the largest
     exchange or measurement round queues over all ranks before its first
@@ -161,6 +170,7 @@ class RunPlan:
     exchanges: tuple[ExchangePlan, ...]
     rounds: tuple[ExchangePlan, ...]
     fused: tuple[range, ...]
+    folded: tuple[int, ...]
     tier: TierAccount | None
     exchange_bytes: int
     ledger: TrafficLedger
@@ -210,8 +220,9 @@ def plan_run(circuit: Circuit, layout: PartitionLayout, mode: PrecisionMode,
         for run in fused:
             top = max(g.phase_turn(gate)[1] for gate in circuit.gates[run.start:run.stop])
             work = max(work, phase_work_elements(min(LOCAL_BLOCK, size), top))
-    return RunPlan(exchanges, rounds, fused, tier, gate_bytes * layout.rank_count, ledger, work,
-                   queued, peak_bytes(layout, mode, work, queued, len(circuit.gates)))
+    return RunPlan(exchanges, rounds, fused, folded_x(circuit.gates, n_local), tier,
+                   gate_bytes * layout.rank_count, ledger, work, queued,
+                   peak_bytes(layout, mode, work, queued, len(circuit.gates)))
 
 
 @dataclass
@@ -291,13 +302,17 @@ class _Engine:
                         for _ in range(n)]
         self.transport = transport_factory(n, self.ledgers)
         self.codebook = Codebook() if mode is PrecisionMode.BYTE else None
+        unit = 0
+        for ordinal in self.plan.folded:
+            unit ^= 1 << circuit.gates[ordinal].qubits[0]
         self.states = [
-            LocalState.zero_state(layout.local_qubits, mode, r == 0, self.codebook)
+            LocalState.zero_state(layout.local_qubits, mode, unit if r == 0 else None,
+                                  self.codebook)
             for r in range(n)
         ]
         self.work = self.outbox = None
         if self.codebook is None:
-            self.work = np.empty(self.plan.work_elements, dtype=np.complex128)
+            self.work = _aligned(self.plan.work_elements)
             self.outbox = np.empty(self.plan.queued_elements, dtype=mode.dtype)
         self.rank_order = list(range(n))
         if rank_order_seed is not None:
@@ -307,11 +322,14 @@ class _Engine:
 
     def run(self) -> None:
         gates, ordinal = self.circuit.gates, 0
-        stops = {run.start: run.stop for run in self.plan.fused}
+        # a fused run is one phase pass, and a folded X is only counted
+        spans = {run.start: (run.stop, self._apply_phases) for run in self.plan.fused}
+        spans.update((o, (o + 1, self._count)) for o in self.plan.folded)
         while ordinal < len(gates):
-            if ordinal in stops:
-                self._apply_phases(gates[ordinal:stops[ordinal]])
-                ordinal = stops[ordinal]
+            if ordinal in spans:
+                stop, apply = spans[ordinal]
+                apply(gates[ordinal:stop])
+                ordinal = stop
             else:
                 self._execute(gates[ordinal], self.plan.exchanges[ordinal], ordinal)
                 ordinal += 1
@@ -335,8 +353,12 @@ class _Engine:
                 self._apply_rows(gate, plan)
         except TransportError as exc:
             raise RuntimeError(f"gate {ordinal} ({gate.kind}): {exc}") from exc
+        self._count((gate,))
+
+    def _count(self, gates) -> None:
+        """Count ``gates`` as gate operations on every rank."""
         for ledger in self.ledgers:
-            ledger.gate_operations += 1
+            ledger.gate_operations += len(gates)
 
     def _on_codec(self, gate: g.Gate) -> bool:
         """Whether ``gate`` runs through byte mode's codec: all but X and CNOT."""
@@ -385,8 +407,7 @@ class _Engine:
                              [(bits, weight) for rank_bits, bits, weight in terms
                               if rank & rank_bits == rank_bits],
                              top, LOCAL_BLOCK, self.work)
-        for ledger in self.ledgers:
-            ledger.gate_operations += len(gates)
+        self._count(gates)
 
     def _apply_rows(self, gate: g.Gate, plan: ExchangePlan) -> None:
         """A matrix or permutation gate on its group's rows; a local gate's group is one rank."""
@@ -491,9 +512,29 @@ def fused_runs(gates) -> tuple[range, ...]:
     return tuple(runs)
 
 
+def folded_x(gates, n_local: int) -> tuple[int, ...]:
+    """The ordinals of the X gates on local qubits before any other gate (``RunPlan``)."""
+    leading = itertools.takewhile(lambda gate: gate.kind == "X", gates)
+    return tuple(i for i, gate in enumerate(leading) if gate.qubits[0] < n_local)
+
+
 def _shared(gates) -> set[int]:
     """The qubits every one of ``gates`` acts on."""
     return set.intersection(*(set(gate.qubits) for gate in gates))
+
+
+# A large array starts where the heap places it: 16 B into a cache line when
+# it is mapped on its own, as the first run's are, and after that anywhere the
+# process's earlier allocations leave, once freeing them has raised glibc's
+# mmap threshold.  Timed in one process on 2**15 fp64 amplitudes (medians of
+# 200, 2 CPUs, numpy 2.4), a gathered U4 took 202 us with its workspace on a
+# cache line, 206 us 32 B into one and 230-233 us 16 or 48 B in; a gathered
+# U2 took 119, 124 and 133-134 us.
+def _aligned(elements: int) -> np.ndarray:
+    """An empty complex128 workspace of ``elements`` that starts on a cache line."""
+    raw = np.empty(elements + CACHE_LINE // 16, dtype=np.complex128)
+    start = -raw.ctypes.data % CACHE_LINE // 16
+    return raw[start:start + elements]
 
 
 def _rank_bits(qubits, n_local: int) -> int:

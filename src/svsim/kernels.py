@@ -26,8 +26,8 @@ the payloads it received and writes every result into its owner's part;
 forms, in place on one array.  A target that is its source (the same
 object) is updated in place; any other source is a scratch copy.
 
-The matrix kernels share one arithmetic, ``_combine``: output row r is
-m[r,0]*a0 + m[r,1]*a1 (+ m[r,2]*a2 + m[r,3]*a3), summed left to right, and
+The matrix kernels share one arithmetic (``_combine`` states it): output row
+r is m[r,0]*a0 + m[r,1]*a1 (+ m[r,2]*a2 + m[r,3]*a3), summed left to right, and
 every product keeps the matrix entry first, because numpy's complex
 multiply is not commutative bit for bit (``np.multiply(v, m)`` differs from
 ``m * v`` on Haar matrices).  IEEE addition is, so a two-term sum may swap
@@ -35,10 +35,12 @@ its operands.  The kernels compute with no copy or temporary per term.  They
 gather the source components once into contiguous complex128 buffers,
 accumulate each row in one buffer with one term buffer, and store it into
 its target, rounding once.  When a single-qubit gate's two components are
-contiguous complex128 rows or halves, nothing is gathered: the in-place row
-is updated with every product in place, after its partner's row, which is
-saved first when it too is in place, or accumulated straight into its
-target when it is a scratch copy (``_pair``).
+contiguous complex128 rows or halves, nothing is gathered or copied: each
+product is written over an operand it alone reads, into a target, or into a
+buffer where both components are in place (``_pair``).  When a 2x2 matrix's
+rows start with the same entry bit for bit, as H's do, both rows' first
+product is formed once (``_shares_first``): an in-place pair of H halves
+takes five passes over a half, a general one six, and a gathered H nine.
 
 Those buffers are the kernels' only transients.  A caller that passes ``work``,
 a 1-D complex128 array of at least ``work_elements`` elements, has them carved
@@ -170,46 +172,64 @@ def _views(rows, bits, which=None) -> list[tuple[int, np.ndarray]]:
 _COMPLEX = np.dtype(np.complex128)
 
 
+def _shares_first(matrix: np.ndarray) -> bool:
+    """Whether a 2x2 matrix's rows start with the same entry, bit for bit.
+
+    Both rows' first products are then the same, so they are formed once.
+    ``==`` would also take 0.0 and -0.0, whose products differ in the sign of
+    a zero.
+    """
+    return len(matrix) == 2 and matrix[0, 0].tobytes() == matrix[1, 0].tobytes()
+
+
 def _update(sources, targets, matrix: np.ndarray, work=None) -> None:
     """Apply ``matrix`` across aligned component views, row i into ``targets[i]``.
 
     The source components are gathered once into contiguous complex128
     buffers, so a target may be its source; each matrix row accumulates in
-    one buffer and is stored, rounding once.
+    one buffer and is stored, rounding once.  A 2x2 matrix whose rows share
+    their first product keeps it in the accumulator, and each row adds its
+    second product to it in the term buffer.
     """
     *xs, acc, term = _carve(work, len(sources) + 2, sources[0].shape)
     for x, view in zip(xs, sources):
         np.copyto(x, view)
+    if _shares_first(matrix):
+        np.multiply(matrix[0, 0], xs[0], out=acc)
+        for row, view in zip(matrix, targets):
+            np.multiply(row[1], xs[1], out=term)
+            term += acc
+            view[...] = term
+        return
     for row, view in zip(matrix, targets):
         _combine(row, xs, acc, term)
         view[...] = acc
 
 
 def _pair(sources, targets, in_place, matrix: np.ndarray, work=None) -> None:
-    """A 2x2 update of two contiguous complex128 components, nothing gathered.
+    """A 2x2 update of two contiguous complex128 components, nothing gathered or copied.
 
-    Each product overwrites an operand it alone reads.  When both components
-    are updated in place, the first is saved before its last read, and row
-    1's two-term sum swaps its operands so that its own component comes
-    first.  Otherwise a source that is not its target is a scratch copy: its
-    row accumulates straight into its target first, and it then serves as
-    the in-place row's term buffer.
+    Each product overwrites an operand it alone reads, and a source that is
+    not its target is a scratch copy.  The first products come first: in the
+    first component, and row 1's in a buffer unless the rows share it.  Each
+    second product goes into its row's target, or for an in-place row 0 into
+    the second component when that is a scratch copy and a buffer otherwise,
+    and each row then adds its two products.
     """
-    if all(in_place):
-        v0, v1 = sources
-        a0, term = _carve(work, 2, v0.shape)
-        np.copyto(a0, v0)
-        _combine(matrix[0], sources, v0, term)
-        _combine(matrix[1, ::-1], (v1, a0), v1, a0)
-        return
-    (term,) = _carve(work, 1, sources[0].shape)
-    for r in (0, 1):
-        if not in_place[r]:
-            _combine(matrix[r], sources, targets[r], term)
-    for r in (0, 1):
-        if in_place[r]:
-            order = [r, 1 - r]
-            _combine(matrix[r, order], [sources[c] for c in order], sources[r], sources[1 - r])
+    v0, v1 = sources
+    shared = _shares_first(matrix)
+    spare = _carve(work, all(in_place) + (not shared), v0.shape)
+    firsts = [v0, v0]
+    if not shared:
+        firsts[1] = spare.pop()
+        np.multiply(matrix[1, 0], v0, out=firsts[1])
+    np.multiply(matrix[0, 0], v0, out=v0)
+    seconds = [spare.pop() if all(in_place) else v1 if in_place[0] else targets[0], targets[1]]
+    # the product written over v1 is its last read
+    for r in ((1, 0) if seconds[0] is v1 else (0, 1)):
+        np.multiply(matrix[r, 1], v1, out=seconds[r])
+    np.add(seconds[1], firsts[1], out=targets[1])
+    np.add(seconds[0], v0, out=targets[0])
 
 
 def apply_rows(sources, targets, bits, matrix: np.ndarray, work=None) -> None:
@@ -259,11 +279,12 @@ def apply_two(psi: np.ndarray, qa: int, qb: int, matrix: np.ndarray, work=None) 
 def apply_diagonal(psi: np.ndarray, local_bits: tuple[int, ...], factor: complex) -> None:
     """Multiply by ``factor`` where every listed local bit reads 1.
 
-    A bit at or above the local width raises ``IndexError``; the caller
-    resolves rank bits itself and passes only local ones.
+    A view of one element is rounded as a longer one is (``_scale``), so the
+    stored bits do not depend on how many local bits a rank holds.  A bit at
+    or above the local width raises ``IndexError``; the caller resolves rank
+    bits itself and passes only local ones.
     """
-    view = bit_view(psi, local_bits)
-    view *= np.complex128(factor)
+    _scale(bit_view(psi, local_bits), np.complex128(factor))
 
 
 # A fused phase pass looks its roots up in one table of 2**K roots, K its
@@ -456,7 +477,7 @@ def _scale(target: np.ndarray, factor: np.ndarray) -> None:
     if target.size == 1:
         target[...] = target * factor
     else:
-        np.multiply(target, factor, out=target)
+        target *= factor
 
 
 def _put(target: np.ndarray, source: np.ndarray, y: bool, sign: int) -> None:

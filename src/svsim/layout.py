@@ -71,6 +71,9 @@ RANK_OVERHEAD_BYTES = 6 << 10
 # gate, 215 KB over 400 gates.  So no constant per run bounds it.  Each
 # cache keeps at most 1024 entries.
 GATE_OVERHEAD_BYTES = 3 << 10
+# The fp workspace starts on a cache line, so it may skip up to this many
+# bytes of what it allocates.
+CACHE_LINE = 64
 # A byte-mode write held until the barrier, per amplitude, when no code tuple
 # repeats: 16 B of ``(r, theta)`` and up to 2 B of tuple index.
 HELD_WRITE_BYTES = 18
@@ -113,7 +116,8 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode, work: int, queued: 
     transients.  ``engine.plan_run`` sizes the queued payloads and the
     workspace from the run's own gates; ``kernels.work_elements`` and
     ``measure.work_elements`` state the working sets.  The fp modes add
-    numpy's buffers (``ufunc_buffer_bytes``).
+    numpy's buffers (``ufunc_buffer_bytes``) and the ``CACHE_LINE`` their
+    workspace may skip.
 
     Byte mode adds 8 complex128 copies of one rank's slice for its codec, and
     the writes every rank holds until the codebook barrier,
@@ -131,7 +135,7 @@ def peak_bytes(layout: PartitionLayout, mode: PrecisionMode, work: int, queued: 
     if mode is PrecisionMode.BYTE:
         return (peak + 8 * layout.local_size * 16 + (HELD_WRITE_BYTES << layout.total_qubits)
                 + TUPLE_TABLE_BYTES)
-    return peak + ufunc_buffer_bytes()
+    return peak + ufunc_buffer_bytes() + CACHE_LINE
 
 
 @dataclass(frozen=True)

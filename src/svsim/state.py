@@ -72,12 +72,12 @@ class LocalState:
         self.data = np.zeros(1 << n_local, dtype=mode.dtype)
 
     @classmethod
-    def zero_state(cls, n_local: int, mode: PrecisionMode, with_unit_amplitude: bool,
+    def zero_state(cls, n_local: int, mode: PrecisionMode, unit: int | None,
                    codebook: Codebook | None = None):
-        """All-zeros slice; the partition owning global index 0 gets amplitude 1."""
+        """All-zeros slice, with amplitude 1 at local index ``unit`` unless it is None."""
         state = cls(n_local, mode, codebook)
-        if with_unit_amplitude:
-            state.data[0] = mode.stored_one
+        if unit is not None:
+            state.data[unit] = mode.stored_one
         return state
 
     def view(self, where=()) -> np.ndarray:

@@ -130,8 +130,8 @@ def test_codebooks_identical_for_any_rank_count(rng):
 
 def test_byte_storage_is_one_eighth_of_fp64():
     for n_local in (4, 8, 12):
-        byte = LocalState.zero_state(n_local, PrecisionMode.BYTE, True)
-        fp64 = LocalState.zero_state(n_local, PrecisionMode.FP64, True)
+        byte = LocalState.zero_state(n_local, PrecisionMode.BYTE, 0)
+        fp64 = LocalState.zero_state(n_local, PrecisionMode.FP64, 0)
         assert byte.data.nbytes * 8 == fp64.data.nbytes
 
 

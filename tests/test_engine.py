@@ -11,8 +11,8 @@ from svsim import (Circuit, PrecisionMode, build_adder, build_benchmark, build_r
 import svsim.engine
 import svsim.kernels
 from svsim.cli import main
-from svsim.engine import plan_run
-from svsim.layout import TrafficLedger, memory_bytes, partition
+from svsim.engine import _Engine, plan_run
+from svsim.layout import CACHE_LINE, TrafficLedger, memory_bytes, partition
 from svsim.state import LocalState
 from svsim.tier import TierConfig
 from svsim.transport import Transport, TransportError
@@ -576,6 +576,46 @@ def test_stored_state_is_bit_identical_across_ranks_order_and_tiering(seed, mode
         tolerance = 1e-5 if mode is PrecisionMode.FP32 else 1e-12
         assert np.max(np.abs(first.gathered_state() - dense.psi)) < tolerance
         assert first.report.max_difference(expected) < tolerance
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 6),
+       mode=st.sampled_from(list(PrecisionMode)))
+def test_stored_state_is_bit_identical_down_to_one_local_qubit(seed, n, mode):
+    """Diagonal gates on all of a rank's local qubits scale one-element views.
+
+    With one or two local qubits, a single diagonal gate often reads every
+    local bit as one, so its view holds one element; it must round as it
+    does on one rank, where the view is longer.
+    """
+    rng = np.random.default_rng(seed)
+    gates = [g.h(q) for q in range(n)]
+    for _ in range(24):
+        q, other = (int(q) for q in rng.choice(n, 2, replace=False))
+        k = int(rng.integers(1, 7)) * (1 if rng.integers(2) else -1)
+        gates.append([g.u2(q, haar_unitary(rng, 2)), g.h(q), g.cphase(q, other, k),
+                      g.phase(q, k), g.z(q)][rng.integers(5)])
+    circuit = Circuit(n, tuple(gates) + (g.measure_all(),))
+    outcomes = {}
+    for ranks in (1, 2, 4, 8, 16)[:n]:
+        result = run_circuit(circuit, ranks=ranks, mode=mode, rank_order_seed=seed)
+        book = result.codebook
+        outcomes[ranks] = (b"".join(state.data.tobytes() for state in result.states),
+                           None if book is None else (book.dump(), book.units.tobytes()))
+    assert [ranks for ranks, outcome in outcomes.items() if outcome != outcomes[1]] == []
+
+
+@pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])
+def test_the_workspace_starts_on_a_cache_line(mode):
+    # a large array starts where the heap places it; the arrays held between
+    # runs move that place
+    held = []
+    for n, ranks in ((12, 1), (16, 4), (18, 1)):
+        for size in range(1, 5):
+            held.append(np.empty(size * 1000 + 1, dtype=np.complex128))
+            engine = _Engine(build_benchmark(n), partition(n, ranks), mode, None, None)
+            assert engine.work.ctypes.data % CACHE_LINE == 0
+            assert engine.work.size == engine.plan.work_elements
+            del engine
 
 
 @pytest.mark.parametrize("mode", [PrecisionMode.FP64, PrecisionMode.FP32])

@@ -258,11 +258,21 @@ def signed_zero_state(seed, n, dtype):
 
 
 def drawn_matrix(data, dim):
+    """A named gate matrix, or a Haar one.
+
+    A 2x2 one may also be Haar with its first column one repeated entry, so
+    that both rows share their first product, or with 0.0 and -0.0 there:
+    equal under ``==``, their products differ in the sign of a zero.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     named = {2: [g.H_MATRIX, g.X_MATRIX], 4: [g.CNOT_MATRIX]}[dim]
+    if dim == 2:
+        repeated, signed = haar_unitary(rng, 2), haar_unitary(rng, 2)
+        repeated[1, 0] = repeated[0, 0]
+        signed[:, 0] = (0.0, -0.0)
+        named += [repeated, signed]
     choice = data.draw(st.integers(0, len(named)), label="matrix")
-    if choice < len(named):
-        return named[choice]
-    return haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), dim)
+    return named[choice] if choice < len(named) else haar_unitary(rng, dim)
 
 
 def reference_update(psi, bits, matrix):
@@ -295,6 +305,27 @@ def test_matrix_kernels_keep_the_parent_arithmetic_bit_for_bit(data):
         expected = reference_update(psi, bits, matrix)
         apply_matrix(psi, bits, matrix)
         assert psi.tobytes() == expected.tobytes(), bits
+
+
+@given(st.data())
+def test_rows_into_other_targets_keep_the_parent_arithmetic_bit_for_bit(data):
+    # two rows of 2**w taken as one array, the gate on the bit that selects the
+    # row or on one of each row's; a row not updated in place has a target of
+    # its own, and its source is a scratch copy
+    dtype = data.draw(st.sampled_from([np.complex128, np.complex64]), label="dtype")
+    w = data.draw(st.integers(0, 6), label="row width")
+    bit = data.draw(st.integers(0, w), label="bit")
+    in_place = data.draw(st.lists(st.booleans(), min_size=2, max_size=2), label="in place")
+    matrix = drawn_matrix(data, 2)
+    psi = signed_zero_state(data.draw(st.integers(0, 2**32 - 1)), w + 1, dtype)
+    expected = reference_update(psi, (bit,), matrix)
+    sources = list(psi.copy().reshape(2, -1))
+    if bit < w:
+        # one row holds both components
+        sources, in_place = [psi.copy()], in_place[:1]
+    targets = [s if own else np.full_like(s, np.nan) for s, own in zip(sources, in_place)]
+    kernels.apply_rows(sources, targets, (bit,), matrix)
+    assert np.concatenate(targets).tobytes() == expected.tobytes(), in_place
 
 
 @given(st.data())

@@ -83,7 +83,7 @@ def test_unnormalized_state_is_flagged_not_fatal():
     from svsim.state import LocalState
     from svsim.transport import Transport
 
-    state = LocalState.zero_state(3, PrecisionMode.FP64, True)
+    state = LocalState.zero_state(3, PrecisionMode.FP64, 0)
     state.data *= 2.0
     ledgers = [TrafficLedger()]
     report = measure_all([state], PartitionLayout(3, 3), Transport(1, ledgers))
